@@ -5,17 +5,20 @@
 use std::sync::Arc;
 
 use approxhadoop_ipc::Wire;
+use approxhadoop_runtime::control::{fixed_coordinator, Coordinator};
 use approxhadoop_runtime::engine::{
-    run_job, run_job_process, run_job_with_coordinator, JobConfig, WorkerSpec,
+    run_job, run_job_process, run_job_with_coordinator, JobConfig, JobResult, WorkerSpec,
 };
-use approxhadoop_runtime::input::InputSource;
+use approxhadoop_runtime::input::{InputSource, SplitMeta};
 use approxhadoop_runtime::metrics::JobMetrics;
 use approxhadoop_runtime::types::Key;
-use approxhadoop_runtime::{FixedCoordinator, JobId, JobSession};
+use approxhadoop_runtime::{JobId, JobSession};
 use approxhadoop_stats::Interval;
 
 use crate::extreme::{Extreme, ExtremeMapper, ExtremeOutput, ExtremeReducer};
-use crate::multistage::{Aggregation, BoundMonitor, MultiStageMapper, MultiStageReducer};
+use crate::multistage::{
+    Aggregation, BoundMonitor, DistinctSink, MultiStageMapper, MultiStageReducer,
+};
 use crate::spec::{ApproxSpec, ErrorTarget};
 use crate::target::{SharedApproxState, TargetErrorCoordinator};
 use crate::{CoreError, Result};
@@ -107,104 +110,20 @@ where
     where
         S: InputSource<Item = I>,
     {
-        self.spec.validate()?;
-        let total = input.splits().len();
-        if total == 0 {
-            return Err(CoreError::invalid("input has no splits"));
-        }
-        let confidence = self.spec.confidence();
-        let agg = self.agg;
+        let AggregationPlan {
+            config,
+            mut coordinator,
+            reduce,
+        } = AggregationPlan::new(self.spec, self.agg, self.config, &input.splits())?;
         let mapper = MultiStageMapper::new(self.map_fn);
-        let mut config = self.config;
-        let distinct_sink: crate::multistage::DistinctSink =
-            Arc::new(parking_lot::Mutex::new(vec![None; config.reduce_tasks]));
-
-        let job = match self.spec {
-            ApproxSpec::Precise => {
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                    },
-                    config,
-                )?
-            }
-            ApproxSpec::Ratios {
-                drop_ratio,
-                sampling_ratio,
-            } => {
-                config.sampling_ratio = sampling_ratio;
-                config.drop_ratio = drop_ratio;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                    },
-                    config,
-                )?
-            }
-            ApproxSpec::Target {
-                target,
-                confidence,
-                pilot,
-            } => {
-                let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
-                let mut coordinator = TargetErrorCoordinator::new(
-                    total,
-                    target,
-                    confidence,
-                    config.map_slots,
-                    pilot,
-                    Arc::clone(&shared),
-                );
-                let report_absolute = matches!(target, ErrorTarget::Absolute(_));
-                let check_every = (total / 50).max(1);
-                let freeze_threshold = Some(match target {
-                    ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
-                });
-                let min_maps_before_freeze = coordinator.wave1_count();
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job_with_coordinator(
-                    input,
-                    &mapper,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                            .with_monitor(BoundMonitor {
-                                shared: Arc::clone(&shared),
-                                report_absolute,
-                                check_every,
-                                freeze_threshold,
-                                min_maps_before_freeze,
-                            })
-                    },
-                    config,
-                    &mut coordinator,
-                )?
-            }
-        };
-        let mut outputs = job.outputs;
-        outputs.sort_by(|a, b| a.0.cmp(&b.0));
-        // Keys are hash-partitioned: the global distinct-key estimate is
-        // the sum over reducer partitions (all must have reported).
-        let slots = distinct_sink.lock();
-        let distinct_keys_estimate = if slots.iter().all(|s| s.is_some()) {
-            Some(slots.iter().map(|s| s.unwrap_or(0.0)).sum())
-        } else {
-            None
-        };
-        Ok(ApproxResult {
-            outputs,
-            metrics: job.metrics,
-            distinct_keys_estimate,
-        })
+        let job = run_job_with_coordinator(
+            input,
+            &mapper,
+            |_| reduce.reducer(),
+            config,
+            coordinator.as_mut(),
+        )?;
+        Ok(reduce.result(job))
     }
 
     /// Runs the job on the **process backend**: map attempts execute in
@@ -227,50 +146,62 @@ where
         I: Wire,
         K: Wire,
     {
-        self.spec.validate()?;
-        let total = input.splits().len();
+        let AggregationPlan {
+            config,
+            mut coordinator,
+            reduce,
+        } = AggregationPlan::new(self.spec, self.agg, self.config, &input.splits())?;
+        let job = run_job_process(
+            input,
+            worker,
+            |_| reduce.reducer(),
+            config,
+            coordinator.as_mut(),
+            &JobSession::new(JobId(0)),
+        )?;
+        Ok(reduce.result(job))
+    }
+}
+
+/// How an aggregation job's [`ApproxSpec`] runs on the engine — the
+/// config's ratios, the coordinator and the reduce side — whichever
+/// backend runs it.
+struct AggregationPlan {
+    config: JobConfig,
+    coordinator: Box<dyn Coordinator>,
+    reduce: ReducePlan,
+}
+
+impl AggregationPlan {
+    fn new(
+        spec: ApproxSpec,
+        agg: Aggregation,
+        mut config: JobConfig,
+        splits: &[SplitMeta],
+    ) -> Result<Self> {
+        spec.validate()?;
+        let total = splits.len();
         if total == 0 {
             return Err(CoreError::invalid("input has no splits"));
         }
-        let confidence = self.spec.confidence();
-        let agg = self.agg;
-        let mut config = self.config;
-        let distinct_sink: crate::multistage::DistinctSink =
-            Arc::new(parking_lot::Mutex::new(vec![None; config.reduce_tasks]));
-        let session = JobSession::new(JobId(0));
-
-        let job = match self.spec {
-            ApproxSpec::Precise | ApproxSpec::Ratios { .. } => {
-                let (drop_ratio, sampling_ratio) = match self.spec {
-                    ApproxSpec::Ratios {
-                        drop_ratio,
-                        sampling_ratio,
-                    } => (drop_ratio, sampling_ratio),
-                    _ => (0.0, 1.0),
-                };
-                config.sampling_ratio = sampling_ratio;
-                config.drop_ratio = drop_ratio;
-                let mut coordinator =
-                    FixedCoordinator::new(total, sampling_ratio, drop_ratio, config.seed);
-                run_job_process(
-                    input,
-                    worker,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                    },
-                    config,
-                    &mut coordinator,
-                    &session,
-                )?
-            }
+        let (drop_ratio, sampling_ratio) = spec.fixed_ratios().unwrap_or((0.0, 1.0));
+        config.sampling_ratio = sampling_ratio;
+        config.drop_ratio = drop_ratio;
+        let (coordinator, monitor): (Box<dyn Coordinator>, _) = match spec {
             ApproxSpec::Target {
                 target,
                 confidence,
                 pilot,
             } => {
+                if !config.datasets.is_empty() {
+                    // The controller plans over one homogeneous cluster
+                    // population, not per-dataset ratios.
+                    return Err(CoreError::invalid(
+                        "target-error jobs are single-input (config.datasets must be empty)",
+                    ));
+                }
                 let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
-                let mut coordinator = TargetErrorCoordinator::new(
+                let coordinator = TargetErrorCoordinator::new(
                     total,
                     target,
                     confidence,
@@ -278,47 +209,69 @@ where
                     pilot,
                     Arc::clone(&shared),
                 );
-                let report_absolute = matches!(target, ErrorTarget::Absolute(_));
-                let check_every = (total / 50).max(1);
-                let freeze_threshold = Some(match target {
-                    ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
-                });
-                let min_maps_before_freeze = coordinator.wave1_count();
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job_process(
-                    input,
-                    worker,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                            .with_monitor(BoundMonitor {
-                                shared: Arc::clone(&shared),
-                                report_absolute,
-                                check_every,
-                                freeze_threshold,
-                                min_maps_before_freeze,
-                            })
-                    },
-                    config,
-                    &mut coordinator,
-                    &session,
-                )?
+                let monitor = BoundMonitor {
+                    shared,
+                    report_absolute: matches!(target, ErrorTarget::Absolute(_)),
+                    check_every: (total / 50).max(1),
+                    freeze_threshold: Some(match target {
+                        ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
+                    }),
+                    min_maps_before_freeze: coordinator.wave1_count(),
+                };
+                (Box::new(coordinator), Some(monitor))
+            }
+            ApproxSpec::Precise | ApproxSpec::Ratios { .. } => {
+                (fixed_coordinator(&config, splits)?, None)
             }
         };
+        let reduce = ReducePlan {
+            agg,
+            confidence: spec.confidence(),
+            monitor,
+            distinct_sink: Arc::new(parking_lot::Mutex::new(vec![None; config.reduce_tasks])),
+        };
+        Ok(AggregationPlan {
+            config,
+            coordinator,
+            reduce,
+        })
+    }
+}
+
+/// The reduce side of an [`AggregationPlan`]: every partition's
+/// [`MultiStageReducer`], and the fold of their outputs into the job's
+/// result.
+struct ReducePlan {
+    agg: Aggregation,
+    confidence: f64,
+    monitor: Option<BoundMonitor>,
+    distinct_sink: DistinctSink,
+}
+
+impl ReducePlan {
+    fn reducer<K: Key>(&self) -> MultiStageReducer<K> {
+        let reducer = MultiStageReducer::new(self.agg, self.confidence)
+            .with_distinct_sink(Arc::clone(&self.distinct_sink));
+        match &self.monitor {
+            Some(m) => reducer.with_monitor(BoundMonitor {
+                shared: Arc::clone(&m.shared),
+                ..*m
+            }),
+            None => reducer,
+        }
+    }
+
+    fn result<K: Key>(&self, job: JobResult<(K, Interval)>) -> ApproxResult<(K, Interval)> {
         let mut outputs = job.outputs;
         outputs.sort_by(|a, b| a.0.cmp(&b.0));
-        let slots = distinct_sink.lock();
-        let distinct_keys_estimate = if slots.iter().all(|s| s.is_some()) {
-            Some(slots.iter().map(|s| s.unwrap_or(0.0)).sum())
-        } else {
-            None
-        };
-        Ok(ApproxResult {
+        // Keys are hash-partitioned: the global distinct-key estimate is
+        // the sum over reducer partitions (all must have reported).
+        let distinct_keys_estimate = self.distinct_sink.lock().iter().copied().sum();
+        ApproxResult {
             outputs,
             metrics: job.metrics,
             distinct_keys_estimate,
-        })
+        }
     }
 }
 
@@ -403,60 +356,40 @@ where
         if input.splits().is_empty() {
             return Err(CoreError::invalid("input has no splits"));
         }
-        let kind = self.kind;
-        let percentile = self.percentile;
-        let mapper = ExtremeMapper::new(kind, self.map_fn);
-        let mut config = self.config;
-        config.reduce_tasks = 1;
-
-        let job = match self.spec {
-            ApproxSpec::Precise => {
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| ExtremeReducer::new(kind, 0.95).with_percentile(percentile),
-                    config,
-                )?
-            }
-            ApproxSpec::Ratios {
-                drop_ratio,
-                sampling_ratio,
-            } => {
-                config.sampling_ratio = sampling_ratio;
-                config.drop_ratio = drop_ratio;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| ExtremeReducer::new(kind, 0.95).with_percentile(percentile),
-                    config,
-                )?
-            }
+        let target = match self.spec {
             ApproxSpec::Target {
-                target,
-                confidence,
-                pilot: _,
-            } => {
-                let ErrorTarget::Relative(rel) = target else {
-                    return Err(CoreError::invalid(
-                        "extreme-value jobs support relative targets only",
-                    ));
-                };
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| {
-                        ExtremeReducer::new(kind, confidence)
-                            .with_percentile(percentile)
-                            .with_target(rel)
-                    },
-                    config,
-                )?
+                target: ErrorTarget::Relative(rel),
+                ..
+            } => Some(rel),
+            ApproxSpec::Target { .. } => {
+                return Err(CoreError::invalid(
+                    "extreme-value jobs support relative targets only",
+                ))
             }
+            _ => None,
         };
+        let (kind, percentile) = (self.kind, self.percentile);
+        let confidence = self.spec.confidence();
+        let mapper = ExtremeMapper::new(kind, self.map_fn);
+        let (drop_ratio, sampling_ratio) = self.spec.fixed_ratios().unwrap_or((0.0, 1.0));
+        let config = JobConfig {
+            reduce_tasks: 1,
+            sampling_ratio,
+            drop_ratio,
+            ..self.config
+        };
+        let job = run_job(
+            input,
+            &mapper,
+            |_| {
+                let reducer = ExtremeReducer::new(kind, confidence).with_percentile(percentile);
+                match target {
+                    Some(rel) => reducer.with_target(rel),
+                    None => reducer,
+                }
+            },
+            config,
+        )?;
         Ok(ApproxResult {
             outputs: job.outputs,
             metrics: job.metrics,
@@ -530,21 +463,16 @@ where
         }
         let confidence = self.spec.confidence();
         let mapper = crate::ratio::RatioMapper::new(self.map_fn);
-        let mut config = self.config;
-        let (drop_ratio, sampling_ratio) = match self.spec {
-            ApproxSpec::Precise => (0.0, 1.0),
-            ApproxSpec::Ratios {
-                drop_ratio,
-                sampling_ratio,
-            } => (drop_ratio, sampling_ratio),
-            ApproxSpec::Target { .. } => {
-                return Err(CoreError::invalid(
-                    "ratio jobs support Precise and Ratios specs only",
-                ))
-            }
+        let Some((drop_ratio, sampling_ratio)) = self.spec.fixed_ratios() else {
+            return Err(CoreError::invalid(
+                "ratio jobs support Precise and Ratios specs only",
+            ));
         };
-        config.drop_ratio = drop_ratio;
-        config.sampling_ratio = sampling_ratio;
+        let config = JobConfig {
+            drop_ratio,
+            sampling_ratio,
+            ..self.config
+        };
         let job = run_job(
             input,
             &mapper,
@@ -757,6 +685,34 @@ mod tests {
             (est - true_distinct).abs() < (observed - true_distinct).abs(),
             "Chao1 {est} should beat observed {observed} against truth {true_distinct}"
         );
+    }
+
+    /// A target-mode job over a config carrying per-dataset ratios.
+    #[allow(clippy::type_complexity)] // test helper returning the full generic
+    fn target_job_with_datasets(
+    ) -> AggregationJob<f64, u8, impl Fn(&f64, &mut dyn FnMut(u8, f64)) + Send + Sync> {
+        AggregationJob::sum(|x: &f64, emit: &mut dyn FnMut(u8, f64)| emit(0, *x))
+            .spec(ApproxSpec::target(0.05, 0.95))
+            .config(JobConfig {
+                datasets: vec![approxhadoop_runtime::DatasetRatios::precise()],
+                ..Default::default()
+            })
+    }
+
+    #[test]
+    fn target_mode_rejects_per_dataset_ratios() {
+        let input = VecSource::new(vec![vec![1.0f64, 2.0], vec![3.0]]);
+        let r = target_job_with_datasets().run(&input);
+        assert!(matches!(r, Err(CoreError::InvalidSpec { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn target_mode_rejects_per_dataset_ratios_on_workers() {
+        let input = VecSource::new(vec![vec![1.0f64, 2.0], vec![3.0]]);
+        // Rejected while planning, before any worker process starts.
+        let worker = WorkerSpec::new("no-such-worker", "no-such-job");
+        let r = target_job_with_datasets().run_on_workers(&input, &worker);
+        assert!(matches!(r, Err(CoreError::InvalidSpec { .. })), "{r:?}");
     }
 
     #[test]

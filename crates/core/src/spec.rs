@@ -120,6 +120,20 @@ impl ApproxSpec {
         }
     }
 
+    /// The `(drop_ratio, sampling_ratio)` pair a fixed-ratio spec runs
+    /// at (`(0, 1)` when precise); `None` for a target spec, whose
+    /// coordinator picks the ratios.
+    pub(crate) fn fixed_ratios(&self) -> Option<(f64, f64)> {
+        match *self {
+            ApproxSpec::Precise => Some((0.0, 1.0)),
+            ApproxSpec::Ratios {
+                drop_ratio,
+                sampling_ratio,
+            } => Some((drop_ratio, sampling_ratio)),
+            ApproxSpec::Target { .. } => None,
+        }
+    }
+
     /// The confidence level at which bounds should be computed
     /// (`0.95` unless a target spec overrides it).
     pub fn confidence(&self) -> f64 {

@@ -7,7 +7,8 @@
 //! * [`Coordinator`] is the policy hook: it decides, per task and *at
 //!   schedule time*, whether to run (and at what sampling ratio) or drop
 //!   — this late binding is what lets `approxhadoop-core` implement the
-//!   paper's wave-based ratio selection.
+//!   paper's wave-based ratio selection. [`fixed_coordinator`] picks the
+//!   fixed-ratio policy a job's config asks for.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -305,6 +306,40 @@ impl Coordinator for DatasetFixedCoordinator {
                 sampling_ratio: self.sampling_ratios.get(task.0).copied().unwrap_or(1.0),
             }
         }
+    }
+}
+
+/// The fixed-ratio policy a job's [`JobConfig`] asks for — the one place
+/// the engine, the builders, the job service and the joins pick it.
+/// Single-input jobs (`config.datasets` empty) get a
+/// [`FixedCoordinator`] over the job-wide ratios; multi-input jobs get a
+/// [`DatasetFixedCoordinator`] over the per-dataset ratios. The two keep
+/// their own drop-selection seeds, so single-input jobs drop the same
+/// maps they always have.
+///
+/// Rejects an invalid `config` (see [`JobConfig::validate`]) and splits
+/// tagged with a dataset the config does not declare.
+///
+/// [`JobConfig`]: crate::engine::JobConfig
+/// [`JobConfig::validate`]: crate::engine::JobConfig::validate
+pub fn fixed_coordinator(
+    config: &crate::engine::JobConfig,
+    splits: &[SplitMeta],
+) -> crate::Result<Box<dyn Coordinator>> {
+    config.validate()?;
+    if config.datasets.is_empty() {
+        Ok(Box::new(FixedCoordinator::new(
+            splits.len(),
+            config.sampling_ratio,
+            config.drop_ratio,
+            config.seed,
+        )))
+    } else {
+        Ok(Box::new(DatasetFixedCoordinator::new(
+            splits,
+            &config.datasets,
+            config.seed,
+        )?))
     }
 }
 

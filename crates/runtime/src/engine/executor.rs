@@ -7,20 +7,23 @@
 //! an attempt, receive outcomes, and broadcast drop notifications. All
 //! decisions (what to run, where, when to kill) stay in the tracker.
 //!
-//! Two backends exist: [`ScopedExecutor`] runs attempts on job-private
-//! task-tracker threads spread over simulated servers (data locality,
-//! speculation and blacklisting apply), and [`PoolExecutor`] submits
-//! attempts to a shared [`SlotPool`] (one virtual server; the pool
-//! arbitrates slots across jobs).
+//! Two in-process backends share one [`LocalExecutor`]: [`run_scoped`]
+//! runs attempts on job-private task-tracker threads spread over
+//! simulated servers (data locality, speculation and blacklisting
+//! apply), and [`run_pooled`] submits them to a shared [`SlotPool`] (one
+//! virtual server; the pool arbitrates slots across jobs). The process
+//! backend ([`super::process`]) brings its own executor. Every backend
+//! runs through the one job driver, [`drive`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::thread::{Scope, ScopedJoinHandle};
 
 use crate::control::{Coordinator, JobControl};
 use crate::event::JobSession;
-use crate::input::InputSource;
+use crate::input::{InputSource, SplitMeta};
 use crate::mapper::Mapper;
 use crate::pool::{SlotPool, TenantId};
 use crate::reducer::{ReduceEvent, Reducer};
@@ -123,76 +126,32 @@ pub trait Executor {
     fn notify_drop(&mut self, task: usize);
 }
 
-/// Backend over job-private task-tracker threads (one channel per
-/// simulated server; workers round-robin across them).
-struct ScopedExecutor<K: Key, V: Value> {
-    task_txs: Vec<Sender<WorkItem>>,
+/// Backend running attempts inside this process. The two in-process
+/// backends differ only in `dispatch`: job-private task-tracker threads
+/// take attempts from one channel per simulated server, while a shared
+/// [`SlotPool`] queues each attempt, boxed, under the job's tenant and
+/// decides when it runs. Outcomes come back on one message channel.
+struct LocalExecutor<K: Key, V: Value, D> {
+    dispatch: D,
     msg_rx: Receiver<WorkerMsg>,
     reducer_txs: Vec<Sender<ReduceEvent<K, V>>>,
 }
 
-impl<K: Key, V: Value> Executor for ScopedExecutor<K, V> {
-    fn dispatch(&mut self, server: usize, work: WorkItem) -> bool {
-        let _ = self.task_txs[server].send(work);
-        true
-    }
-
-    fn recv(&mut self, timeout: Duration) -> RecvOutcome {
-        match self.msg_rx.recv_timeout(timeout) {
-            Ok(msg) => RecvOutcome::Msg(msg),
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::Timeout,
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
-        }
-    }
-
-    fn try_recv(&mut self) -> Option<WorkerMsg> {
-        self.msg_rx.try_recv().ok()
-    }
-
-    fn notify_drop(&mut self, task: usize) {
-        shuffle::broadcast_drop(&self.reducer_txs, task);
-    }
-}
-
-/// Backend over a shared [`SlotPool`]: each attempt is boxed and queued
-/// under the job's tenant; the pool decides when it actually runs.
-struct PoolExecutor<'p, S, M: Mapper> {
-    input: Arc<S>,
-    mapper: Arc<M>,
-    pool: &'p SlotPool,
-    tenant: TenantId,
-    msg_tx: Sender<WorkerMsg>,
-    msg_rx: Receiver<WorkerMsg>,
-    reducer_txs: Vec<Sender<ReduceEvent<M::Key, M::Value>>>,
-}
-
-impl<S, M> Executor for PoolExecutor<'_, S, M>
+impl<K, V, D> Executor for LocalExecutor<K, V, D>
 where
-    S: InputSource + 'static,
-    M: Mapper<Item = S::Item> + 'static,
+    K: Key,
+    V: Value,
+    D: FnMut(usize, WorkItem, &[Sender<ReduceEvent<K, V>>]) -> bool,
 {
-    fn dispatch(&mut self, _server: usize, work: WorkItem) -> bool {
-        let input = Arc::clone(&self.input);
-        let mapper = Arc::clone(&self.mapper);
-        let attempt_txs = self.reducer_txs.clone();
-        let msg_tx = self.msg_tx.clone();
-        self.pool.submit(
-            self.tenant,
-            Box::new(move || {
-                // Pool slots are shared across jobs with different
-                // key/value types, so the buffers live per attempt here;
-                // the scoped and process backends reuse theirs.
-                let mut bufs = shuffle::MapBuffers::new();
-                run_map_attempt(&*input, &*mapper, &work, &attempt_txs, &msg_tx, &mut bufs);
-            }),
-        )
+    fn dispatch(&mut self, server: usize, work: WorkItem) -> bool {
+        (self.dispatch)(server, work, &self.reducer_txs)
     }
 
     fn recv(&mut self, timeout: Duration) -> RecvOutcome {
         match self.msg_rx.recv_timeout(timeout) {
             Ok(msg) => RecvOutcome::Msg(msg),
             Err(RecvTimeoutError::Timeout) => RecvOutcome::Timeout,
-            // Unreachable in practice: this executor holds `msg_tx`.
+            // Unreachable on the pool, whose dispatcher holds a sender.
             Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
         }
     }
@@ -206,9 +165,112 @@ where
     }
 }
 
-/// Runs a job on job-private scoped threads: spawns reducers and task
-/// trackers, drives the [`JobTracker`] against a [`ScopedExecutor`],
-/// then joins everything and finalises.
+/// The one job driver every backend runs through: validates the
+/// config, spawns one reduce task per partition, builds the backend's
+/// [`Executor`] with `backend`, drives the [`JobTracker`] against it over
+/// `topology`, then shuts the executor down, joins the reducers and
+/// finalises.
+///
+/// `backend` gets the thread scope (for job-private worker threads), the
+/// split table and the reducers' senders. When it fails, the senders it
+/// was handed are gone, so the reducers drain out before its error
+/// becomes the job's.
+#[allow(clippy::too_many_arguments)] // internal driver: job + session + obs identity + backend
+pub(crate) fn drive<'env, S, R, FR, E, B>(
+    input: &S,
+    make_reducer: FR,
+    config: &JobConfig,
+    coordinator: &mut dyn Coordinator,
+    session: &JobSession,
+    clock: &dyn Clock,
+    (obs_pid, obs_label): (u64, &str),
+    topology: Topology,
+    backend: B,
+) -> Result<JobResult<R::Output>>
+where
+    S: InputSource + ?Sized,
+    R: Reducer + 'env,
+    FR: Fn(usize) -> R,
+    E: Executor,
+    B: for<'scope> FnOnce(
+        &Scope<'scope, 'env>,
+        &[SplitMeta],
+        Vec<Sender<ReduceEvent<R::Key, R::Value>>>,
+    ) -> Result<E>,
+{
+    config.validate()?;
+    let splits = input.splits();
+    let total = splits.len();
+    if total == 0 {
+        return Err(RuntimeError::invalid("input has no splits"));
+    }
+    let start = Instant::now();
+    let control = Arc::new(JobControl::new(config.reduce_tasks));
+    let (reducer_txs, reducer_rxs) =
+        shuffle::reducer_channels::<R::Key, R::Value>(config.reduce_tasks);
+
+    let scope_result = crossbeam::thread::scope(|s| {
+        // ---- reduce tasks ----
+        let reducers: Vec<_> = reducer_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(r, rx)| {
+                let reducer = make_reducer(r);
+                let control = Arc::clone(&control);
+                s.spawn(move |_| shuffle::drain_reduce_events(reducer, rx, r, total, control))
+            })
+            .collect();
+        let join_reducers = |handles: Vec<ScopedJoinHandle<'_, Vec<R::Output>>>| {
+            let mut outputs = Vec::new();
+            let mut panicked = false;
+            for h in handles {
+                match h.join() {
+                    Ok(out) => outputs.extend(out),
+                    Err(_) => panicked = true,
+                }
+            }
+            (outputs, panicked)
+        };
+
+        // ---- the backend ----
+        let mut executor = match backend(s, &splits, reducer_txs) {
+            Ok(e) => e,
+            Err(e) => {
+                join_reducers(reducers);
+                return Err(e);
+            }
+        };
+
+        // ---- the scheduler ----
+        let mut tracker = JobTracker::new(
+            config, &splits, &control, session, clock, topology, start, obs_pid, obs_label,
+        );
+        tracker.run_loop(&mut executor, coordinator);
+
+        // Shut down: dropping the executor stops its workers (threads
+        // drain their dispatch channels, pool attempts have all
+        // reported, worker processes are reaped) and releases the last
+        // reducer senders, so the reducers finish.
+        drop(executor);
+
+        let (outputs, panicked) = join_reducers(reducers);
+        tracker
+            .finish(panicked)
+            .map(|metrics| JobResult { outputs, metrics })
+    });
+
+    match scope_result {
+        Ok(job) => job,
+        Err(_) => Err(RuntimeError::TaskPanicked {
+            what: "task tracker".into(),
+        }),
+    }
+}
+
+/// Runs a job on job-private scoped threads: `config.map_slots`
+/// task-tracker threads spread round-robin over the simulated servers,
+/// driven through a [`LocalExecutor`] that sends each attempt to its
+/// server's channel.
 #[allow(clippy::too_many_arguments)] // internal driver: job + session + obs identity
 pub(crate) fn run_scoped<S, M, R, FR>(
     input: &S,
@@ -227,98 +289,51 @@ where
     R: Reducer<Key = M::Key, Value = M::Value>,
     FR: Fn(usize) -> R + Sync,
 {
-    let splits = input.splits();
-    let total = splits.len();
-    if total == 0 {
-        return Err(RuntimeError::invalid("input has no splits"));
-    }
-    let start = Instant::now();
-    let control = Arc::new(JobControl::new(config.reduce_tasks));
     let topology = Topology::scoped(&config);
     let servers = topology.servers();
-
-    let mut task_txs: Vec<Sender<WorkItem>> = Vec::with_capacity(servers);
-    let mut task_rxs = Vec::with_capacity(servers);
-    for _ in 0..servers {
-        let (tx, rx) = unbounded::<WorkItem>();
-        task_txs.push(tx);
-        task_rxs.push(rx);
-    }
-    let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
-    let (reducer_txs, reducer_rxs) =
-        shuffle::reducer_channels::<M::Key, M::Value>(config.reduce_tasks);
-
-    let make_reducer = &make_reducer;
-    let splits = &splits;
-    let config = &config;
-    let scope_result = crossbeam::thread::scope(|s| {
-        // ---- reduce tasks ----
-        let mut reducer_handles = Vec::new();
-        for (r, rx) in reducer_rxs.into_iter().enumerate() {
-            let control = Arc::clone(&control);
-            reducer_handles.push(s.spawn(move |_| {
-                shuffle::drain_reduce_events(make_reducer(r), rx, r, total, control)
-            }));
-        }
-
-        // ---- task trackers (map slots, spread across servers) ----
-        for w in 0..config.map_slots {
-            let task_rx = task_rxs[w % servers].clone();
-            let msg_tx = msg_tx.clone();
-            let reducer_txs = reducer_txs.clone();
-            s.spawn(move |_| {
-                // One arena per task-tracker thread, reused across every
-                // attempt it runs: combine tables keep their hash-table
-                // allocations, raw pair vectors start pre-sized.
-                let mut bufs = shuffle::MapBuffers::new();
-                for work in task_rx.iter() {
-                    run_map_attempt(input, mapper, &work, &reducer_txs, &msg_tx, &mut bufs);
-                }
-            });
-        }
-        drop(task_rxs);
-        drop(msg_tx);
-
-        // ---- the scheduler ----
-        let mut executor = ScopedExecutor {
-            task_txs,
-            msg_rx,
-            reducer_txs,
-        };
-        let mut tracker = JobTracker::new(
-            config, splits, &control, session, clock, topology, start, obs_pid, obs_label,
-        );
-        tracker.run_loop(&mut executor, coordinator);
-
-        // Shut down: close the dispatch channels (workers exit after
-        // draining), then release our reducer senders so reducers can
-        // finish once the last worker exits.
-        drop(executor);
-
-        let mut outputs = Vec::new();
-        let mut panicked = false;
-        for h in reducer_handles {
-            match h.join() {
-                Ok(out) => outputs.extend(out),
-                Err(_) => panicked = true,
+    let map_slots = config.map_slots;
+    drive(
+        input,
+        make_reducer,
+        &config,
+        coordinator,
+        session,
+        clock,
+        (obs_pid, obs_label),
+        topology,
+        |s, _, reducer_txs| {
+            let (task_txs, task_rxs): (Vec<_>, Vec<_>) =
+                (0..servers).map(|_| unbounded::<WorkItem>()).unzip();
+            let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
+            for w in 0..map_slots {
+                let task_rx = task_rxs[w % servers].clone();
+                let msg_tx = msg_tx.clone();
+                let reducer_txs = reducer_txs.clone();
+                s.spawn(move |_| {
+                    // One arena per task-tracker thread, reused across
+                    // every attempt it runs: combine tables keep their
+                    // hash-table allocations, raw pair vectors start
+                    // pre-sized.
+                    let mut bufs = shuffle::MapBuffers::new();
+                    for work in task_rx.iter() {
+                        run_map_attempt(input, mapper, &work, &reducer_txs, &msg_tx, &mut bufs);
+                    }
+                });
             }
-        }
-        tracker
-            .finish(panicked)
-            .map(|metrics| JobResult { outputs, metrics })
-    });
-
-    match scope_result {
-        Ok(job) => job,
-        Err(_) => Err(RuntimeError::TaskPanicked {
-            what: "task tracker".into(),
-        }),
-    }
+            Ok(LocalExecutor {
+                dispatch: move |server: usize, work: WorkItem, _: &[Sender<_>]| {
+                    let _ = task_txs[server].send(work);
+                    true
+                },
+                msg_rx,
+                reducer_txs,
+            })
+        },
+    )
 }
 
-/// Runs a job against a shared [`SlotPool`]: spawns reducer threads,
-/// drives the [`JobTracker`] against a [`PoolExecutor`] on the calling
-/// thread, then joins everything and finalises.
+/// Runs a job against a shared [`SlotPool`] through a [`LocalExecutor`]
+/// that queues each attempt under `tenant`: one virtual server.
 #[allow(clippy::too_many_arguments)] // internal driver: job + pool + session
 pub(crate) fn run_pooled<S, M, R, FR>(
     input: Arc<S>,
@@ -338,67 +353,42 @@ where
     R::Output: Send + 'static,
     FR: Fn(usize) -> R,
 {
-    let splits = input.splits();
-    let total = splits.len();
-    if total == 0 {
-        return Err(RuntimeError::invalid("input has no splits"));
-    }
-    let start = Instant::now();
-    let control = Arc::new(JobControl::new(config.reduce_tasks));
-
-    let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
-    let (reducer_txs, reducer_rxs) =
-        shuffle::reducer_channels::<M::Key, M::Value>(config.reduce_tasks);
-    let mut reducer_handles = Vec::new();
-    for (r, rx) in reducer_rxs.into_iter().enumerate() {
-        let control = Arc::clone(&control);
-        let reducer = make_reducer(r);
-        reducer_handles.push(std::thread::spawn(move || {
-            shuffle::drain_reduce_events(reducer, rx, r, total, control)
-        }));
-    }
-
-    // ---- the scheduler (runs on the calling thread) ----
-    let topology = Topology::pooled(&config);
     let label = session.job.to_string();
-    let mut tracker = JobTracker::new(
+    drive(
+        &*input,
+        make_reducer,
         &config,
-        &splits,
-        &control,
+        coordinator,
         session,
         clock,
-        topology,
-        start,
-        session.job.0 + 2,
-        &label,
-    );
-    let mut executor = PoolExecutor {
-        input,
-        mapper,
-        pool,
-        tenant,
-        msg_tx,
-        msg_rx,
-        reducer_txs,
-    };
-    tracker.run_loop(&mut executor, coordinator);
-
-    // Shut down: every submitted attempt has reported (the tracker only
-    // exits once no closure still holds a reducer sender), so dropping
-    // our senders lets the reducers drain and finish.
-    drop(executor);
-
-    let mut outputs = Vec::new();
-    let mut panicked = false;
-    for h in reducer_handles {
-        match h.join() {
-            Ok(out) => outputs.extend(out),
-            Err(_) => panicked = true,
-        }
-    }
-    tracker
-        .finish(panicked)
-        .map(|metrics| JobResult { outputs, metrics })
+        (session.job.0 + 2, &label),
+        Topology::pooled(&config),
+        |_, _, reducer_txs| {
+            let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
+            let (input, mapper) = (Arc::clone(&input), Arc::clone(&mapper));
+            let dispatch = move |_: usize, work: WorkItem, reducer_txs: &[Sender<_>]| {
+                let input = Arc::clone(&input);
+                let mapper = Arc::clone(&mapper);
+                let attempt_txs = reducer_txs.to_vec();
+                let msg_tx = msg_tx.clone();
+                pool.submit(
+                    tenant,
+                    Box::new(move || {
+                        // Pool slots are shared across jobs with different
+                        // key/value types, so the buffers live per attempt
+                        // here; the scoped and process backends reuse theirs.
+                        let mut bufs = shuffle::MapBuffers::new();
+                        run_map_attempt(&*input, &*mapper, &work, &attempt_txs, &msg_tx, &mut bufs);
+                    }),
+                )
+            };
+            Ok(LocalExecutor {
+                dispatch,
+                msg_rx,
+                reducer_txs,
+            })
+        },
+    )
 }
 
 #[cfg(test)]

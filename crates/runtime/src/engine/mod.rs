@@ -8,17 +8,21 @@
 //!   dropping, mid-flight kills, speculative execution, bounded retry
 //!   with backoff and blacklisting, degrade-to-drop plus its error
 //!   budget, wave accounting and event/telemetry emission.
-//! * `executor` — the `Executor` trait and its two backends: scoped
-//!   task-tracker threads (job-private simulated servers) and the
-//!   shared [`crate::pool::SlotPool`] (service mode).
+//! * `executor` — the `Executor` trait, the one job driver every
+//!   backend runs through (validate, spawn reducers, run the tracker,
+//!   join, finalise), and the in-process executor behind two backends:
+//!   scoped task-tracker threads (job-private simulated servers) and
+//!   the shared [`crate::pool::SlotPool`] (service mode).
+//! * [`process`] — the third backend: worker OS processes.
 //! * `attempt` — the worker-side body of one map attempt.
 //! * `shuffle` — per-reducer channels, batch shipping, drop
 //!   broadcasts and the reduce-side drain loop.
 //! * `clock` — the time source scheduling decisions consult, swapped
 //!   for a fake in deterministic tests.
 //!
-//! The public entry points below are thin wrappers that validate the
-//! [`JobConfig`], pick a backend and hand everything to the tracker.
+//! The public entry points below only pick a backend; the driver does
+//! the rest. [`run_job`] takes its policy from [`fixed_coordinator`],
+//! the one place a job's fixed ratios become a [`Coordinator`].
 
 mod attempt;
 mod clock;
@@ -34,7 +38,7 @@ pub use process::{run_job_process, WorkerSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crate::control::{Coordinator, FixedCoordinator};
+use crate::control::{fixed_coordinator, Coordinator};
 use crate::event::{JobId, JobSession};
 use crate::fault::{FaultPlan, FaultPolicy};
 use crate::input::InputSource;
@@ -210,7 +214,8 @@ pub struct JobResult<O> {
 }
 
 /// Runs a job with the default fixed-ratio policy derived from
-/// `config.sampling_ratio` / `config.drop_ratio` — the paper's
+/// `config.sampling_ratio` / `config.drop_ratio` (or from
+/// `config.datasets` for a multi-input job) — the paper's
 /// "user-specified dropping/sampling ratios" mode.
 pub fn run_job<S, M, R, FR>(
     input: &S,
@@ -224,26 +229,8 @@ where
     R: Reducer<Key = M::Key, Value = M::Value>,
     FR: Fn(usize) -> R + Sync,
 {
-    config.validate()?;
-    let splits = input.splits();
-    if splits.is_empty() {
-        return Err(RuntimeError::invalid("input has no splits"));
-    }
-    if config.datasets.is_empty() {
-        let mut coordinator = FixedCoordinator::new(
-            splits.len(),
-            config.sampling_ratio,
-            config.drop_ratio,
-            config.seed,
-        );
-        run_job_with_coordinator(input, mapper, make_reducer, config, &mut coordinator)
-    } else {
-        // Multi-input job: per-dataset ratios, with drop selection
-        // performed within each dataset's own task set.
-        let mut coordinator =
-            crate::control::DatasetFixedCoordinator::new(&splits, &config.datasets, config.seed)?;
-        run_job_with_coordinator(input, mapper, make_reducer, config, &mut coordinator)
-    }
+    let mut coordinator = fixed_coordinator(&config, &input.splits())?;
+    run_job_with_coordinator(input, mapper, make_reducer, config, coordinator.as_mut())
 }
 
 /// Runs a job under an explicit [`Coordinator`] policy (used by the
@@ -261,15 +248,13 @@ where
     R: Reducer<Key = M::Key, Value = M::Value>,
     FR: Fn(usize) -> R + Sync,
 {
-    config.validate()?;
-    let session = JobSession::new(JobId(0));
     executor::run_scoped(
         input,
         mapper,
         make_reducer,
         config,
         coordinator,
-        &session,
+        &JobSession::new(JobId(0)),
         &SystemClock,
         1,
         "run_job",
@@ -299,8 +284,6 @@ where
     R: Reducer<Key = M::Key, Value = M::Value>,
     FR: Fn(usize) -> R + Sync,
 {
-    config.validate()?;
-    let label = session.job.to_string();
     executor::run_scoped(
         input,
         mapper,
@@ -310,7 +293,7 @@ where
         session,
         &SystemClock,
         session.job.0 + 2,
-        &label,
+        &session.job.to_string(),
     )
 }
 
@@ -354,7 +337,6 @@ where
     R::Output: Send + 'static,
     FR: Fn(usize) -> R,
 {
-    config.validate()?;
     executor::run_pooled(
         input,
         mapper,

@@ -36,6 +36,7 @@ use super::super::attempt::{RemoteSpan, WorkItem, WorkerMsg};
 use super::super::executor::{Executor, RecvOutcome};
 use super::super::shuffle;
 use super::wire::{FromWorker, ToWorker, WireWorkItem};
+use super::ScratchGuard;
 
 /// Transport counters, labelled per job. Spill counters live in the
 /// worker's own registry (incremented when a spill actually happens)
@@ -221,6 +222,9 @@ pub(super) struct ProcessExecutor<K: Key + Wire, V: Value + Wire> {
     /// Parent registry worker counter deltas merge into; `Some` exactly
     /// when the job spec carries a telemetry label.
     merge_into: Option<Arc<Obs>>,
+    /// The job's spool and spill directory, removed when the executor
+    /// drops — after `Drop::drop` has reaped every worker.
+    _scratch: ScratchGuard,
 }
 
 impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
@@ -231,6 +235,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
         reducer_txs: Vec<Sender<ReduceEvent<K, V>>>,
         obs: Option<ProcObs>,
         merge_into: Option<Arc<Obs>>,
+        scratch: ScratchGuard,
     ) -> crate::Result<Self> {
         let (ev_tx, ev_rx) = unbounded();
         let mut handles = Vec::with_capacity(workers);
@@ -262,6 +267,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
             reducer_txs,
             obs,
             merge_into,
+            _scratch: scratch,
         })
     }
 

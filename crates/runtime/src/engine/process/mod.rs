@@ -50,23 +50,21 @@ pub use registry::{worker_main, worker_obs, JobRegistry};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use approxhadoop_dfs::{BlockId, FileStoreWriter};
 use approxhadoop_ipc::Wire;
 
-use crate::control::{Coordinator, JobControl};
+use crossbeam::channel::Sender;
+
+use crate::control::Coordinator;
 use crate::event::JobSession;
-use crate::input::InputSource;
-use crate::reducer::Reducer;
+use crate::input::{InputSource, SplitMeta};
+use crate::reducer::{ReduceEvent, Reducer};
 use crate::types::{Key, Value};
 use crate::{Result, RuntimeError};
 
-use super::clock::{Clock, SystemClock};
-use super::executor::Topology;
-use super::scheduler::JobTracker;
-use super::shuffle;
+use super::clock::SystemClock;
+use super::executor::{drive, Topology};
 use super::{JobConfig, JobResult};
 
 use executor::{ProcObs, ProcessExecutor};
@@ -163,18 +161,23 @@ where
     R::Value: Value + Wire,
     FR: Fn(usize) -> R + Sync,
 {
-    config.validate()?;
     let label = session.job.to_string();
-    run_process(
+    let topology = Topology {
+        capacity: vec![1; config.workers],
+        placement: true,
+    };
+    drive(
         input,
-        spec,
         make_reducer,
-        config,
+        &config,
         coordinator,
         session,
         &SystemClock,
-        session.job.0 + 2,
-        &label,
+        (session.job.0 + 2, &label),
+        topology,
+        |_, splits, reducer_txs| {
+            spawn_fleet(input, spec, &config, session, &label, splits, reducer_txs)
+        },
     )
 }
 
@@ -182,8 +185,8 @@ where
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Owns the job's scratch directory (input spool + worker spill runs)
-/// and removes it on drop — after the workers are reaped, since the
-/// guard is created before the executor.
+/// and removes it on drop. The process executor holds it, so removal
+/// happens only after every worker is reaped.
 struct ScratchGuard(PathBuf);
 
 impl Drop for ScratchGuard {
@@ -192,14 +195,12 @@ impl Drop for ScratchGuard {
     }
 }
 
-/// Snapshots every split into a spool file the workers can `mmap`:
-/// one block per map task, payload = back-to-back item encodings.
 /// Builds the job spec's dataset table from the splits: one
 /// `(dataset, split count)` entry per distinct dataset, in dataset
 /// order. Single-input jobs (every split tagged dataset 0) get an
 /// empty table so their spec bytes are unchanged from before
 /// multi-input support.
-fn dataset_table(splits: &[crate::input::SplitMeta]) -> Vec<(u32, u64)> {
+fn dataset_table(splits: &[SplitMeta]) -> Vec<(u32, u64)> {
     let mut table: Vec<(u32, u64)> = Vec::new();
     for s in splits {
         match table.iter_mut().find(|(d, _)| *d == s.dataset.0) {
@@ -215,6 +216,8 @@ fn dataset_table(splits: &[crate::input::SplitMeta]) -> Vec<(u32, u64)> {
     }
 }
 
+/// Snapshots every split into a spool file the workers can `mmap`:
+/// one block per map task, payload = back-to-back item encodings.
 fn write_spool<S>(input: &S, total: usize, path: &Path) -> Result<()>
 where
     S: InputSource,
@@ -242,39 +245,25 @@ where
     Ok(())
 }
 
-/// The process-backend driver: spool the input, spawn reducers and the
-/// worker fleet, drive the [`JobTracker`] against a `ProcessExecutor`,
-/// then reap everything and finalise.
-#[allow(clippy::too_many_arguments)] // internal driver: job + session + obs identity
-fn run_process<S, R, FR>(
+/// The process backend's [`Executor`](super::Executor): snapshots the
+/// input into a spool file in a fresh scratch directory, then starts
+/// `config.workers` workers on it. The executor owns the scratch
+/// directory and removes it once every worker is reaped.
+fn spawn_fleet<S, K, V>(
     input: &S,
     spec: &WorkerSpec,
-    make_reducer: FR,
-    config: JobConfig,
-    coordinator: &mut dyn Coordinator,
+    config: &JobConfig,
     session: &JobSession,
-    clock: &dyn Clock,
-    obs_pid: u64,
     obs_label: &str,
-) -> Result<JobResult<R::Output>>
+    splits: &[SplitMeta],
+    reducer_txs: Vec<Sender<ReduceEvent<K, V>>>,
+) -> Result<ProcessExecutor<K, V>>
 where
     S: InputSource,
     S::Item: Wire,
-    R: Reducer,
-    R::Key: Key + Wire,
-    R::Value: Value + Wire,
-    FR: Fn(usize) -> R + Sync,
+    K: Key + Wire,
+    V: Value + Wire,
 {
-    let splits = input.splits();
-    let total = splits.len();
-    if total == 0 {
-        return Err(RuntimeError::invalid("input has no splits"));
-    }
-    let start = Instant::now();
-
-    // Scratch space for the spool and the workers' spill runs. The
-    // guard is created before the executor so removal happens only
-    // after every worker is reaped.
     let scratch = config
         .spill_dir
         .clone()
@@ -291,9 +280,9 @@ where
             scratch.display()
         ))
     })?;
-    let _scratch_guard = ScratchGuard(scratch.clone());
-    let spool = scratch.join("input.spool");
-    write_spool(input, total, &spool)?;
+    let scratch = ScratchGuard(scratch);
+    let spool = scratch.0.join("input.spool");
+    write_spool(input, splits.len(), &spool)?;
 
     let job_frame = ToWorker::Job(WorkerJobSpec {
         job: spec.job.clone(),
@@ -301,7 +290,7 @@ where
         spool: spool.to_string_lossy().into_owned(),
         num_reducers: config.reduce_tasks as u32,
         shuffle_mem_bytes: config.shuffle_mem_bytes as u64,
-        spill_dir: scratch.join("spill").to_string_lossy().into_owned(),
+        spill_dir: scratch.0.join("spill").to_string_lossy().into_owned(),
         // A non-empty label switches worker-side telemetry on: workers
         // run their own registry/tracer and piggyback deltas on the
         // frame stream.
@@ -310,82 +299,16 @@ where
             .as_ref()
             .map(|_| obs_label.to_string())
             .unwrap_or_default(),
-        datasets: dataset_table(&splits),
+        datasets: dataset_table(splits),
     })
     .to_bytes();
-
-    let control = Arc::new(JobControl::new(config.reduce_tasks));
-    let topology = Topology {
-        capacity: vec![1; config.workers],
-        placement: true,
-    };
-    let (reducer_txs, reducer_rxs) =
-        shuffle::reducer_channels::<R::Key, R::Value>(config.reduce_tasks);
-    let obs = config.obs.as_ref().map(|o| ProcObs::new(o, obs_label));
-
-    let make_reducer = &make_reducer;
-    let splits = &splits;
-    let config = &config;
-    let scope_result = crossbeam::thread::scope(|s| {
-        // ---- reduce tasks ----
-        let mut reducer_handles = Vec::new();
-        for (r, rx) in reducer_rxs.into_iter().enumerate() {
-            let control = Arc::clone(&control);
-            reducer_handles.push(s.spawn(move |_| {
-                shuffle::drain_reduce_events(make_reducer(r), rx, r, total, control)
-            }));
-        }
-        let join_reducers =
-            |handles: Vec<crossbeam::thread::ScopedJoinHandle<'_, Vec<R::Output>>>| {
-                let mut outputs = Vec::new();
-                let mut panicked = false;
-                for h in handles {
-                    match h.join() {
-                        Ok(out) => outputs.extend(out),
-                        Err(_) => panicked = true,
-                    }
-                }
-                (outputs, panicked)
-            };
-
-        // ---- the worker fleet ----
-        // A failed spawn drops the reducer senders held by `new`, so the
-        // reducers drain out before the error propagates.
-        let mut executor = match ProcessExecutor::<R::Key, R::Value>::new(
-            &spec.bin,
-            job_frame,
-            config.workers,
-            reducer_txs,
-            obs,
-            config.obs.clone(),
-        ) {
-            Ok(e) => e,
-            Err(e) => {
-                join_reducers(reducer_handles);
-                return Err(e);
-            }
-        };
-
-        // ---- the scheduler ----
-        let mut tracker = JobTracker::new(
-            config, splits, &control, session, clock, topology, start, obs_pid, obs_label,
-        );
-        tracker.run_loop(&mut executor, coordinator);
-
-        // Shut down: reap the workers (Shutdown → SIGTERM → SIGKILL,
-        // always waited) and release the reducer senders they fed.
-        drop(executor);
-
-        let (outputs, panicked) = join_reducers(reducer_handles);
-        tracker
-            .finish(panicked)
-            .map(|metrics| JobResult { outputs, metrics })
-    });
-
-    match scope_result {
-        Ok(job) => job,
-        Err(_) => Err(RuntimeError::TaskPanicked {
-            what: "task tracker".into(),
-        }),
-    }
+    ProcessExecutor::new(
+        &spec.bin,
+        job_frame,
+        config.workers,
+        reducer_txs,
+        config.obs.as_ref().map(|o| ProcObs::new(o, obs_label)),
+        config.obs.clone(),
+        scratch,
+    )
 }

@@ -6,10 +6,10 @@
 //! * a **JobTracker** ([`engine`]) that schedules one map task per input
 //!   block, **in random order** (required by the cluster-sampling
 //!   theory), on a fixed number of map slots. The scheduler is a single
-//!   backend-agnostic state machine; *where* attempts run is a pluggable
-//!   executor — job-private task-tracker threads ([`engine::run_job`],
-//!   [`engine::run_job_with_coordinator`], [`engine::run_job_with_session`]),
-//!   a shared, weighted-fair [`pool::SlotPool`]
+//!   backend-agnostic state machine, and one driver runs every job;
+//!   *where* attempts run is a pluggable executor — job-private
+//!   task-tracker threads ([`engine::run_job`] and its siblings), a
+//!   shared, weighted-fair [`pool::SlotPool`]
 //!   ([`engine::run_job_on_pool`], service mode), or separate worker
 //!   **processes** with a spill-capable shuffle
 //!   ([`engine::run_job_process`], [`engine::process`]);
@@ -35,7 +35,8 @@
 //! Approximation *policy* — error estimation, ratio selection, target
 //! bounds — lives in `approxhadoop-core`, which drives this engine
 //! through the [`control::Coordinator`] trait and the reduce-side
-//! [`control::JobControl`] channel.
+//! [`control::JobControl`] channel. The fixed-ratio policy is picked in
+//! one place, [`control::fixed_coordinator`].
 //!
 //! # Example: word count
 //!

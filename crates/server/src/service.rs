@@ -20,6 +20,7 @@ use approxhadoop_core::spec::{ErrorTarget, PilotSpec};
 use approxhadoop_core::target::{SharedApproxState, TargetErrorCoordinator};
 use approxhadoop_ipc::Wire;
 use approxhadoop_obs::Obs;
+use approxhadoop_runtime::control::fixed_coordinator;
 use approxhadoop_runtime::engine::{
     run_job_on_pool, run_job_process, JobConfig, JobResult, WorkerSpec,
 };
@@ -27,11 +28,9 @@ use approxhadoop_runtime::event::{CancelHandle, JobEvent, JobId, JobSession};
 use approxhadoop_runtime::input::InputSource;
 use approxhadoop_runtime::mapper::Mapper;
 use approxhadoop_runtime::metrics::JobMetrics;
-use approxhadoop_runtime::pool::SlotPool;
+use approxhadoop_runtime::pool::{SlotPool, TenantId};
 use approxhadoop_runtime::reducer::Reducer;
-use approxhadoop_runtime::{
-    DatasetFixedCoordinator, DatasetRatios, FaultPlan, FaultPolicy, FixedCoordinator, RuntimeError,
-};
+use approxhadoop_runtime::{DatasetRatios, FaultPlan, FaultPolicy, RuntimeError};
 
 use crate::admission::{AdmissionConfig, AdmissionController, ApproxBudget};
 
@@ -95,6 +94,37 @@ pub struct JobSpec {
     /// admission does not degrade them (a join's build side must stay
     /// precise, which a global degrade factor cannot know).
     pub datasets: Vec<DatasetRatios>,
+}
+
+impl JobSpec {
+    /// The engine configuration the spec runs under, at precise ratios:
+    /// admission decides a fixed-ratio job's ratios afterwards.
+    fn engine_config(&self, obs: &Arc<Obs>) -> JobConfig {
+        JobConfig {
+            map_slots: self.map_slots,
+            servers: 1,
+            reduce_tasks: self.reduce_tasks,
+            sampling_ratio: 1.0,
+            drop_ratio: 0.0,
+            seed: self.seed,
+            combining: true,
+            speculative: false,
+            straggler_factor: 2.0,
+            fault_plan: self.fault_plan.clone(),
+            fault_policy: FaultPolicy {
+                max_task_retries: self.max_task_retries,
+                degrade_to_drop: self.max_task_retries > 0,
+                max_degraded_bound: self.max_degraded_bound,
+                ..Default::default()
+            },
+            obs: Some(Arc::clone(obs)),
+            workers: self.workers,
+            shuffle_mem_bytes: self.shuffle_mem_bytes,
+            spill_dir: None,
+            flight_dir: None,
+            datasets: self.datasets.clone(),
+        }
+    }
 }
 
 impl Default for JobSpec {
@@ -327,152 +357,22 @@ impl JobService {
         FR: Fn(usize) -> R + Send + 'static,
     {
         spec.budget.validate().map_err(RuntimeError::invalid)?;
-        if !(spec.weight > 0.0 && spec.weight.is_finite()) {
-            return Err(RuntimeError::invalid(format!(
-                "weight must be positive and finite, got {}",
-                spec.weight
-            )));
-        }
-        // Validate the engine configuration before allocating a job id,
-        // so rejected submissions are invisible (no id, no tracker
-        // thread, no admission-controller state). Only the sampling and
-        // drop ratios are decided later, by the admission controller,
-        // which produces them within valid range by construction.
-        let provisional = JobConfig {
-            map_slots: spec.map_slots,
-            servers: 1,
-            reduce_tasks: spec.reduce_tasks,
-            sampling_ratio: 1.0,
-            drop_ratio: 0.0,
-            seed: spec.seed,
-            combining: true,
-            speculative: false,
-            straggler_factor: 2.0,
-            fault_plan: spec.fault_plan.clone(),
-            fault_policy: FaultPolicy {
-                max_task_retries: spec.max_task_retries,
-                degrade_to_drop: spec.max_task_retries > 0,
-                max_degraded_bound: spec.max_degraded_bound,
-                ..Default::default()
-            },
-            obs: Some(Arc::clone(&self.obs)),
-            workers: spec.workers,
-            shuffle_mem_bytes: spec.shuffle_mem_bytes,
-            spill_dir: None,
-            flight_dir: None,
-            datasets: spec.datasets.clone(),
-        };
-        provisional.validate()?;
-        let id = JobId(self.next_job.fetch_add(1, Ordering::SeqCst));
-        let decision = self
-            .controller
-            .admit(id.0, &spec.budget, self.pool.queued());
-        let config = JobConfig {
-            sampling_ratio: decision.sampling_ratio,
-            drop_ratio: decision.drop_ratio,
-            ..provisional
-        };
-
-        let (event_tx, event_rx) = unbounded();
-        let mut session = JobSession::new(id).with_events(event_tx);
-        if let Some(d) = spec.deadline {
-            session = session.with_deadline(Instant::now() + d);
-        }
-        let cancel = session.cancel_handle();
-        session.emit(JobEvent::Queued { job: id });
-
-        let (result_tx, result_rx) = unbounded();
         let pool = Arc::clone(&self.pool);
-        let controller = Arc::clone(&self.controller);
-        let submitted = Instant::now();
         let weight = spec.weight;
-        let seed = spec.seed;
-        std::thread::Builder::new()
-            .name(format!("tracker-{id}"))
-            .spawn(move || {
-                let tenant = pool.register_tenant(weight);
-                let splits = input.splits();
-                let outcome = if splits.is_empty() {
-                    Err(RuntimeError::invalid("input has no splits"))
-                } else if config.datasets.is_empty() {
-                    let mut coordinator = FixedCoordinator::new(
-                        splits.len(),
-                        config.sampling_ratio,
-                        config.drop_ratio,
-                        seed,
-                    );
-                    run_job_on_pool(
-                        input,
-                        mapper,
-                        make_reducer,
-                        config,
-                        &mut coordinator,
-                        &pool,
-                        tenant,
-                        &session,
-                    )
-                } else {
-                    // A multi-input job: per-dataset ratios, validated
-                    // against the tagged input's actual dataset count.
-                    match DatasetFixedCoordinator::new(&splits, &config.datasets, seed) {
-                        Ok(mut coordinator) => run_job_on_pool(
-                            input,
-                            mapper,
-                            make_reducer,
-                            config,
-                            &mut coordinator,
-                            &pool,
-                            tenant,
-                            &session,
-                        ),
-                        Err(e) => Err(e),
-                    }
-                };
-                pool.unregister_tenant(tenant);
-                // Cancelled jobs say nothing about service health; all
-                // other completions (and failures) feed the controller,
-                // including the achieved error bound when the job's
-                // reducers reported one (the accuracy half of the SLO).
-                if !matches!(outcome, Err(RuntimeError::Cancelled)) {
-                    let bound = outcome
-                        .as_ref()
-                        .ok()
-                        .and_then(|r| worst_final_bound(&r.metrics));
-                    controller.on_job_outcome(
-                        submitted.elapsed().as_secs_f64(),
-                        pool.queued(),
-                        bound,
-                    );
-                }
-                if let Ok(r) = &outcome {
-                    let m = &r.metrics;
-                    if m.failed_maps > 0 || m.retried_maps > 0 || m.degraded_to_drop > 0 {
-                        controller.on_job_faults(m.failed_maps, m.retried_maps, m.degraded_to_drop);
-                    }
-                }
-                match &outcome {
-                    Ok(r) => session.emit(JobEvent::Done {
-                        job: id,
-                        wall_secs: r.metrics.wall_secs,
-                    }),
-                    Err(e) => session.emit(JobEvent::Failed {
-                        job: id,
-                        reason: e.to_string(),
-                    }),
-                }
-                let _ = result_tx.send(outcome);
+        self.launch(spec.budget, spec, move |config, session, _| {
+            as_tenant(&pool, weight, |tenant| {
+                let mut coordinator = fixed_coordinator(&config, &input.splits())?;
+                run_job_on_pool(
+                    input,
+                    mapper,
+                    make_reducer,
+                    config,
+                    coordinator.as_mut(),
+                    &pool,
+                    tenant,
+                    session,
+                )
             })
-            .expect("spawn job tracker thread");
-
-        Ok(JobHandle {
-            id,
-            name: spec.name,
-            degrade: decision.degrade,
-            drop_ratio: decision.drop_ratio,
-            sampling_ratio: decision.sampling_ratio,
-            events: event_rx,
-            cancel,
-            result: result_rx,
         })
     }
 
@@ -520,136 +420,38 @@ impl JobService {
                 "target-error jobs are single-input (spec.datasets must be empty)",
             ));
         }
-        if !(spec.weight > 0.0 && spec.weight.is_finite()) {
-            return Err(RuntimeError::invalid(format!(
-                "weight must be positive and finite, got {}",
-                spec.weight
-            )));
-        }
-        // The coordinator decides per-task sampling and the drop point;
-        // the engine config stays precise.
-        let config = JobConfig {
-            map_slots: spec.map_slots,
-            servers: 1,
-            reduce_tasks: spec.reduce_tasks,
-            sampling_ratio: 1.0,
-            drop_ratio: 0.0,
-            seed: spec.seed,
-            combining: true,
-            speculative: false,
-            straggler_factor: 2.0,
-            fault_plan: spec.fault_plan.clone(),
-            fault_policy: FaultPolicy {
-                max_task_retries: spec.max_task_retries,
-                degrade_to_drop: spec.max_task_retries > 0,
-                max_degraded_bound: spec.max_degraded_bound,
-                ..Default::default()
-            },
-            obs: Some(Arc::clone(&self.obs)),
-            workers: spec.workers,
-            shuffle_mem_bytes: spec.shuffle_mem_bytes,
-            spill_dir: None,
-            flight_dir: None,
-            datasets: Vec::new(),
-        };
-        config.validate()?;
-        let id = JobId(self.next_job.fetch_add(1, Ordering::SeqCst));
-        // Goal jobs carry no ratio budget; the decision still records
-        // the degrade factor, which relaxes the goal within the caller's
-        // allowance.
-        let decision = self
-            .controller
-            .admit(id.0, &ApproxBudget::precise(), self.pool.queued());
-        let effective_target = goal.relaxed(decision.degrade);
-
-        let (event_tx, event_rx) = unbounded();
-        let mut session = JobSession::new(id).with_events(event_tx);
-        if let Some(d) = spec.deadline {
-            session = session.with_deadline(Instant::now() + d);
-        }
-        let cancel = session.cancel_handle();
-        session.emit(JobEvent::Queued { job: id });
-
-        let (result_tx, result_rx) = unbounded();
         let pool = Arc::clone(&self.pool);
-        let controller = Arc::clone(&self.controller);
-        let submitted = Instant::now();
         let weight = spec.weight;
-        let wave_size = spec.map_slots;
-        let reduce_tasks = spec.reduce_tasks;
-        let pilot = goal.pilot;
-        let confidence = goal.confidence;
-        std::thread::Builder::new()
-            .name(format!("tracker-{id}"))
-            .spawn(move || {
-                let tenant = pool.register_tenant(weight);
-                let total = input.splits().len();
-                let outcome = if total == 0 {
-                    Err(RuntimeError::invalid("input has no splits"))
-                } else {
-                    let shared = Arc::new(SharedApproxState::new(reduce_tasks));
+        // Goal jobs carry no ratio budget, so the engine config stays
+        // precise; the decision's degrade factor relaxes the goal within
+        // the caller's allowance instead.
+        self.launch(
+            ApproxBudget::precise(),
+            spec,
+            move |config, session, degrade| {
+                as_tenant(&pool, weight, |tenant| {
+                    let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
                     let mut coordinator = TargetErrorCoordinator::new(
-                        total,
-                        effective_target,
-                        confidence,
-                        wave_size,
-                        pilot,
+                        input.splits().len(),
+                        goal.relaxed(degrade),
+                        goal.confidence,
+                        config.map_slots,
+                        goal.pilot,
                         Arc::clone(&shared),
                     );
-                    let reducer_shared = Arc::clone(&shared);
                     run_job_on_pool(
                         input,
                         mapper,
-                        move |partition| make_reducer(partition, &reducer_shared),
+                        move |partition| make_reducer(partition, &shared),
                         config,
                         &mut coordinator,
                         &pool,
                         tenant,
-                        &session,
+                        session,
                     )
-                };
-                pool.unregister_tenant(tenant);
-                if !matches!(outcome, Err(RuntimeError::Cancelled)) {
-                    let bound = outcome
-                        .as_ref()
-                        .ok()
-                        .and_then(|r| worst_final_bound(&r.metrics));
-                    controller.on_job_outcome(
-                        submitted.elapsed().as_secs_f64(),
-                        pool.queued(),
-                        bound,
-                    );
-                }
-                if let Ok(r) = &outcome {
-                    let m = &r.metrics;
-                    if m.failed_maps > 0 || m.retried_maps > 0 || m.degraded_to_drop > 0 {
-                        controller.on_job_faults(m.failed_maps, m.retried_maps, m.degraded_to_drop);
-                    }
-                }
-                match &outcome {
-                    Ok(r) => session.emit(JobEvent::Done {
-                        job: id,
-                        wall_secs: r.metrics.wall_secs,
-                    }),
-                    Err(e) => session.emit(JobEvent::Failed {
-                        job: id,
-                        reason: e.to_string(),
-                    }),
-                }
-                let _ = result_tx.send(outcome);
-            })
-            .expect("spawn job tracker thread");
-
-        Ok(JobHandle {
-            id,
-            name: spec.name,
-            degrade: decision.degrade,
-            drop_ratio: decision.drop_ratio,
-            sampling_ratio: decision.sampling_ratio,
-            events: event_rx,
-            cancel,
-            result: result_rx,
-        })
+                })
+            },
+        )
     }
 
     /// Submits a job onto the **process backend**: the map work runs in
@@ -680,46 +482,55 @@ impl JobService {
         FR: Fn(usize) -> R + Send + Sync + 'static,
     {
         spec.budget.validate().map_err(RuntimeError::invalid)?;
+        self.launch(spec.budget, spec, move |config, session, _| {
+            let mut coordinator = fixed_coordinator(&config, &input.splits())?;
+            run_job_process(
+                input.as_ref(),
+                &worker,
+                make_reducer,
+                config,
+                coordinator.as_mut(),
+                session,
+            )
+        })
+    }
+
+    /// The one submit body behind every front door. Validates the spec's
+    /// weight and engine config — before allocating a job id, so a
+    /// rejected submission is invisible (no id, no tracker thread, no
+    /// admission-controller state) — takes the admission decision under
+    /// `budget`, and starts the job's tracker thread. That thread runs
+    /// `run` with the admitted config, the job's session and the
+    /// decision's degrade factor, then reports the outcome: to the
+    /// admission controller (unless cancelled), as the final
+    /// `Done`/`Failed` event, and to the handle.
+    fn launch<O, F>(
+        &self,
+        budget: ApproxBudget,
+        spec: JobSpec,
+        run: F,
+    ) -> Result<JobHandle<O>, RuntimeError>
+    where
+        O: Send + 'static,
+        F: FnOnce(JobConfig, &JobSession, f64) -> Result<JobResult<O>, RuntimeError>
+            + Send
+            + 'static,
+    {
         if !(spec.weight > 0.0 && spec.weight.is_finite()) {
             return Err(RuntimeError::invalid(format!(
                 "weight must be positive and finite, got {}",
                 spec.weight
             )));
         }
-        let provisional = JobConfig {
-            map_slots: spec.map_slots,
-            servers: 1,
-            reduce_tasks: spec.reduce_tasks,
-            sampling_ratio: 1.0,
-            drop_ratio: 0.0,
-            seed: spec.seed,
-            combining: true,
-            speculative: false,
-            straggler_factor: 2.0,
-            fault_plan: spec.fault_plan.clone(),
-            fault_policy: FaultPolicy {
-                max_task_retries: spec.max_task_retries,
-                degrade_to_drop: spec.max_task_retries > 0,
-                max_degraded_bound: spec.max_degraded_bound,
-                ..Default::default()
-            },
-            obs: Some(Arc::clone(&self.obs)),
-            workers: spec.workers,
-            shuffle_mem_bytes: spec.shuffle_mem_bytes,
-            spill_dir: None,
-            flight_dir: None,
-            datasets: spec.datasets.clone(),
-        };
-        provisional.validate()?;
+        // Only the sampling and drop ratios are decided after the id,
+        // by the admission controller, which produces them within
+        // valid range by construction.
+        let mut config = spec.engine_config(&self.obs);
+        config.validate()?;
         let id = JobId(self.next_job.fetch_add(1, Ordering::SeqCst));
-        let decision = self
-            .controller
-            .admit(id.0, &spec.budget, self.pool.queued());
-        let config = JobConfig {
-            sampling_ratio: decision.sampling_ratio,
-            drop_ratio: decision.drop_ratio,
-            ..provisional
-        };
+        let decision = self.controller.admit(id.0, &budget, self.pool.queued());
+        config.sampling_ratio = decision.sampling_ratio;
+        config.drop_ratio = decision.drop_ratio;
 
         let (event_tx, event_rx) = unbounded();
         let mut session = JobSession::new(id).with_events(event_tx);
@@ -730,50 +541,22 @@ impl JobService {
         session.emit(JobEvent::Queued { job: id });
 
         let (result_tx, result_rx) = unbounded();
-        let controller = Arc::clone(&self.controller);
         let pool = Arc::clone(&self.pool);
+        let controller = Arc::clone(&self.controller);
         let submitted = Instant::now();
-        let seed = spec.seed;
+        let degrade = decision.degrade;
         std::thread::Builder::new()
             .name(format!("tracker-{id}"))
             .spawn(move || {
-                let splits = input.splits();
-                let outcome = if splits.is_empty() {
-                    Err(RuntimeError::invalid("input has no splits"))
-                } else if config.datasets.is_empty() {
-                    let mut coordinator = FixedCoordinator::new(
-                        splits.len(),
-                        config.sampling_ratio,
-                        config.drop_ratio,
-                        seed,
-                    );
-                    run_job_process(
-                        input.as_ref(),
-                        &worker,
-                        make_reducer,
-                        config,
-                        &mut coordinator,
-                        &session,
-                    )
-                } else {
-                    match DatasetFixedCoordinator::new(&splits, &config.datasets, seed) {
-                        Ok(mut coordinator) => run_job_process(
-                            input.as_ref(),
-                            &worker,
-                            make_reducer,
-                            config,
-                            &mut coordinator,
-                            &session,
-                        ),
-                        Err(e) => Err(e),
-                    }
-                };
+                let outcome = run(config, &session, degrade);
+                // Cancelled jobs say nothing about service health; all
+                // other completions (and failures) feed the controller,
+                // including the achieved error bound when the job's
+                // reducers reported one (the accuracy half of the SLO).
+                // Process jobs run beside the shared pool, not on it,
+                // but in a mixed fleet a backed-up pool is still an
+                // overload signal their completion carries too.
                 if !matches!(outcome, Err(RuntimeError::Cancelled)) {
-                    // Process jobs run beside the shared pool, not on
-                    // it, but in a mixed fleet a backed-up pool is still
-                    // an overload signal this completion should carry —
-                    // a hard-coded depth of 0 blinded the controller to
-                    // it under `--backend process`.
                     let bound = outcome
                         .as_ref()
                         .ok()
@@ -815,6 +598,15 @@ impl JobService {
             result: result_rx,
         })
     }
+}
+
+/// Runs `job` as a tenant of `pool` with fair-share `weight`, for as
+/// long as the job runs.
+fn as_tenant<T>(pool: &SlotPool, weight: f64, job: impl FnOnce(TenantId) -> T) -> T {
+    let tenant = pool.register_tenant(weight);
+    let outcome = job(tenant);
+    pool.unregister_tenant(tenant);
+    outcome
 }
 
 #[cfg(test)]
