@@ -7,19 +7,19 @@
 //! (binary-search insert/remove, O(n) memmove worst case, O(1) reads).
 //! This bench measures both strategies head to head across window
 //! sizes, plus the full `on_job_complete` update through the real
-//! controller, and emits one JSON document.
+//! controller.
 //!
-//! ```text
-//! admission [--smoke] [--check] [--out PATH]
-//! ```
+//! Flags and report envelope are the shared harness's (see the
+//! `approxhadoop_bench` crate docs); the report lands in
+//! `BENCH_admission.json`. It has no gate cells, so `--baseline` fails.
 //!
 //! * `--smoke` shrinks the sample count for CI;
-//! * `--check` exits non-zero unless the incremental window beats
-//!   clone-and-sort at every window size.
+//! * `--check` fails unless the incremental window beats clone-and-sort
+//!   at every window size.
 
 use std::collections::VecDeque;
 
-use approxhadoop_bench::{header, timed};
+use approxhadoop_bench::{finish, header, timed, BenchArgs, Check, Report};
 use approxhadoop_server::admission::{percentile, AdmissionConfig, AdmissionController};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,9 +46,8 @@ struct SizeReport {
 }
 
 #[derive(Debug, Clone, serde::Serialize)]
-struct Report {
+struct Body {
     samples: usize,
-    smoke: bool,
     sizes: Vec<SizeReport>,
 }
 
@@ -134,17 +133,8 @@ fn run_controller(stream: &[f64], window: usize) -> StrategyReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_admission.json".to_string());
-
-    let samples = if smoke { 20_000 } else { 200_000 };
+    let args = BenchArgs::from_env("admission");
+    let samples = if args.smoke { 20_000 } else { 200_000 };
     let stream = latency_stream(samples, 42);
 
     header(
@@ -157,7 +147,6 @@ fn main() {
     );
 
     let mut sizes = Vec::new();
-    let mut all_faster = true;
     for window in [64usize, 256, 1024] {
         let clone_sort = run_clone_sort(&stream, window);
         let incremental = run_incremental(&stream, window);
@@ -167,7 +156,6 @@ fn main() {
             "strategies disagree on p99 at window {window}"
         );
         let speedup = clone_sort.ns_per_completion / incremental.ns_per_completion.max(1e-9);
-        all_faster &= speedup > 1.0;
         println!(
             "{:>8} {:>16.1} {:>16.1} {:>16.1} {:>8.2}x",
             window,
@@ -185,16 +173,20 @@ fn main() {
         });
     }
 
-    let report = Report {
-        samples,
-        smoke,
-        sizes,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, &json).expect("write report");
-    println!("wrote {out}");
-    if check && !all_faster {
-        eprintln!("FAIL: incremental window slower than clone-and-sort");
-        std::process::exit(1);
+    // Each strategy runs the stream once per window size.
+    let mut report = Report::new("admission", &args, 1, Body { samples, sizes });
+    if args.check {
+        report.checks = (report.body.sizes.iter())
+            .map(|s| {
+                Check::new(
+                    s.speedup > 1.0,
+                    format!(
+                        "window {}: incremental beats clone-and-sort ({:.2}x)",
+                        s.window, s.speedup
+                    ),
+                )
+            })
+            .collect();
     }
+    finish(report, &args);
 }

@@ -1,39 +1,39 @@
 //! Hot-path throughput benchmark: records/s on the map/shuffle/reduce
-//! per-record path, across input scales.
+//! per-record path, across workloads and input scales.
 //!
-//! Runs the wordcount workload through the real engine at three input
-//! scales, crossing `{raw, combined}` (map-side combining off/on) with
-//! `{precise, sampled}` (sampling ratio 1.0 / 0.25), and reports
-//! records/s per cell. This is the regression harness for the raw-speed
-//! work on the per-record path: the Fx partitioner, the hash-fold
-//! combine table, the reused map buffers, and the parallel reduce
-//! drain all show up here or nowhere.
+//! Runs two raw-pair workloads through the real engine — word count
+//! (`(word, 1)` folded by [`SumCombiner`]) and a log-ratio aggregation
+//! (`(server, (bytes, 1))` folded by [`PairSumCombiner`]) — at several
+//! input scales, crossing `{raw, combined}` (map-side combining off/on)
+//! with `{precise, sampled}` (sampling ratio 1.0 / 0.25). Each cell
+//! reports records/s, shuffle volume (pairs and approximate bytes) and
+//! p50/p99 map task times. This is the regression harness for the
+//! raw-speed work on the per-record path: the Fx partitioner, the
+//! hash-fold combine table, the reused map buffers, and the parallel
+//! reduce drain all show up here or nowhere. The approximation
+//! templates (`MultiStageMapper`, `RatioMapper`) already ship one
+//! statistic per key per task, so they bypass this raw-emission path.
 //!
-//! Human-readable narration goes to stdout; one JSON document lands in
-//! `BENCH_hotpath.json` (or `--out PATH`).
+//! Flags, report envelope and baseline gate are the shared harness's
+//! (see the `approxhadoop_bench` crate docs); the report lands in
+//! `BENCH_hotpath.json`.
 //!
-//! ```text
-//! hotpath [--smoke] [--check] [--out PATH] [--baseline PATH]
-//! ```
-//!
-//! * `--smoke` shrinks the datasets for CI;
-//! * `--check` exits non-zero unless raw/combined outputs agree on
-//!   every scale and combining shrinks the shuffle;
-//! * `--baseline PATH` compares each scale's aggregate best-of-reps
-//!   records/s against a previously written report and exits non-zero
-//!   on any scale more than 20% slower than the baseline.
+//! * `--check` fails unless, on every workload and scale, raw and
+//!   combined precise outputs agree, combining shrinks the shuffle and
+//!   sampling skips records, and unless combining cuts wordcount's
+//!   shuffled pairs ≥10×;
+//! * gate cell `<workload>/<scale>/<blocks>x<records per block>` holds
+//!   the scale's aggregate best-of-reps records/s over its four cells.
 
-use approxhadoop_bench::{header, reps, timed, Summary};
-use approxhadoop_runtime::combine::{Combined, SumCombiner};
+use approxhadoop_bench::{finish, header, reps, timed, BenchArgs, Check, Report, Summary};
+use approxhadoop_runtime::combine::{Combined, PairSumCombiner, SumCombiner};
 use approxhadoop_runtime::engine::{run_job, JobConfig};
 use approxhadoop_runtime::input::VecSource;
 use approxhadoop_runtime::mapper::FnMapper;
+use approxhadoop_runtime::metrics::JobMetrics;
 use approxhadoop_runtime::reducer::GroupedReducer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Fractional slowdown per cell tolerated against the baseline.
-const BASELINE_TOLERANCE: f64 = 0.20;
 
 /// One (combining × sampling) cell of a scale.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
@@ -54,13 +54,29 @@ struct CellReport {
     records_per_sec_best: f64,
     emitted_pairs: u64,
     shuffled_pairs: u64,
+    /// `shuffled_pairs` times the workload's approximate wire size per
+    /// pair.
+    approx_shuffled_bytes: u64,
+    /// Map task time percentiles over every rep's tasks.
+    map_p50_secs: f64,
+    map_p99_secs: f64,
 }
 
-/// All four cells of one input scale.
+impl CellReport {
+    /// Emitted over shuffled pairs: how much combining collapsed.
+    fn pair_reduction(&self) -> f64 {
+        self.emitted_pairs as f64 / self.shuffled_pairs.max(1) as f64
+    }
+}
+
+/// All four cells of one workload at one input scale.
 #[derive(Debug, Clone, serde::Serialize)]
 struct ScaleReport {
-    name: String,
+    workload: &'static str,
+    name: &'static str,
     blocks: usize,
+    /// Input records per block: text lines for wordcount, log entries
+    /// for log-ratio.
     lines_per_block: usize,
     total_records: u64,
     cells: Vec<CellReport>,
@@ -75,15 +91,29 @@ struct ScaleReport {
     outputs_match: bool,
 }
 
+impl ScaleReport {
+    fn key(&self) -> String {
+        format!(
+            "{}/{}/{}x{}",
+            self.workload, self.name, self.blocks, self.lines_per_block
+        )
+    }
+
+    fn cell(&self, combining: bool, sampled: bool) -> &CellReport {
+        self.cells
+            .iter()
+            .find(|c| c.combining == combining && (c.sampling_ratio < 1.0) == sampled)
+            .expect("every scale runs all four cells")
+    }
+}
+
 #[derive(Debug, Clone, serde::Serialize)]
-struct Report {
-    reps: usize,
-    smoke: bool,
+struct Body {
     scales: Vec<ScaleReport>,
 }
 
-/// Zipf-ish text corpus (same generator shape as the shuffle bench):
-/// frequent words dominate, so combining has keys to collapse.
+/// Zipf-ish text corpus: frequent words dominate, so per-task
+/// combining collapses many `(word, 1)` pairs per key.
 fn wordcount_corpus(blocks: usize, lines: usize, seed: u64) -> Vec<Vec<String>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..blocks)
@@ -104,14 +134,37 @@ fn wordcount_corpus(blocks: usize, lines: usize, seed: u64) -> Vec<Vec<String>> 
         .collect()
 }
 
-/// One wordcount run; returns `(wall, processed, emitted, shuffled,
-/// sorted outputs)`.
+/// Synthetic access log: `(server, response_bytes)` per request.
+fn log_corpus(blocks: usize, entries: usize, seed: u64) -> Vec<Vec<(u32, f64)>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..blocks)
+        .map(|_| {
+            (0..entries)
+                .map(|_| (rng.gen_range(0..64u32), rng.gen_range(200.0..20_000.0)))
+                .collect()
+        })
+        .collect()
+}
+
+/// One job's wall time, metrics and sorted outputs.
+type Run<O> = (f64, JobMetrics, Vec<O>);
+
+fn config(combining: bool, sampling_ratio: f64, seed: u64) -> JobConfig {
+    JobConfig {
+        combining,
+        sampling_ratio,
+        reduce_tasks: 4,
+        seed,
+        ..Default::default()
+    }
+}
+
 fn run_wordcount(
     input: &VecSource<String>,
     combining: bool,
     sampling_ratio: f64,
     seed: u64,
-) -> (f64, u64, u64, u64, Vec<(String, u64)>) {
+) -> Run<(String, u64)> {
     let mapper = Combined::new(
         FnMapper::new(|line: &String, emit: &mut dyn FnMut(String, u64)| {
             for w in line.split_whitespace() {
@@ -129,74 +182,106 @@ fn run_wordcount(
                     Some((k.clone(), vs.iter().sum::<u64>()))
                 })
             },
-            JobConfig {
-                combining,
-                sampling_ratio,
-                reduce_tasks: 4,
-                seed,
-                ..Default::default()
-            },
+            config(combining, sampling_ratio, seed),
         )
         .expect("wordcount job")
     });
-    let processed: u64 = result
-        .metrics
-        .map_stats
-        .iter()
-        .map(|s| s.sampled_records)
-        .sum();
     let mut outputs = result.outputs;
     outputs.sort();
-    (
-        secs,
-        processed,
-        result.metrics.emitted_pairs,
-        result.metrics.shuffled_pairs,
-        outputs,
-    )
+    (secs, result.metrics, outputs)
 }
 
-fn bench_cell(
-    input: &VecSource<String>,
+/// One log-ratio output row: `(server, (Σbytes, Σreqs))`, rounded to
+/// integers so the float fold order (which combining legitimately
+/// changes) cannot fail the equality check.
+type RatioRow = (u32, (u64, u64));
+
+fn run_logratio(
+    input: &VecSource<(u32, f64)>,
+    combining: bool,
+    sampling_ratio: f64,
+    seed: u64,
+) -> Run<RatioRow> {
+    let mapper = Combined::new(
+        FnMapper::new(|r: &(u32, f64), emit: &mut dyn FnMut(u32, (f64, f64))| {
+            emit(r.0, (r.1, 1.0));
+        }),
+        PairSumCombiner,
+    );
+    let (secs, result) = timed(|| {
+        run_job(
+            input,
+            &mapper,
+            |_| {
+                GroupedReducer::new(|k: &u32, vs: &[(f64, f64)]| {
+                    let y: f64 = vs.iter().map(|p| p.0).sum();
+                    let x: f64 = vs.iter().map(|p| p.1).sum();
+                    Some((*k, (y.round() as u64, x.round() as u64)))
+                })
+            },
+            config(combining, sampling_ratio, seed),
+        )
+        .expect("log-ratio job")
+    });
+    let mut outputs = result.outputs;
+    outputs.sort();
+    (secs, result.metrics, outputs)
+}
+
+/// p-th percentile (0–100) of an unsorted sample.
+fn percentile(values: &mut [f64], p: usize) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[(values.len() * p / 100).min(values.len() - 1)]
+}
+
+fn bench_cell<O>(
     combining: bool,
     ratio: f64,
-) -> (CellReport, Vec<(String, u64)>) {
+    bytes_per_pair: f64,
+    run: &mut impl FnMut(bool, f64, u64) -> Run<O>,
+) -> (CellReport, Vec<O>) {
     let mut walls = Vec::new();
+    let mut task_secs = Vec::new();
     let mut last = None;
     for seed in 0..reps() as u64 {
-        let (secs, processed, emitted, shuffled, out) =
-            run_wordcount(input, combining, ratio, seed);
+        let (secs, metrics, out) = run(combining, ratio, seed);
         walls.push(secs);
-        last = Some((processed, emitted, shuffled, out));
+        task_secs.extend(metrics.map_stats.iter().map(|s| s.duration_secs));
+        last = Some((metrics, out));
     }
-    let (processed, emitted, shuffled, out) = last.expect("at least one rep");
+    let (metrics, out) = last.expect("at least one rep");
+    let processed: u64 = metrics.map_stats.iter().map(|s| s.sampled_records).sum();
     let wall = Summary::of(&walls);
-    (
-        CellReport {
-            combining,
-            sampling_ratio: ratio,
-            wall_secs_mean: wall.mean,
-            wall_secs_min: wall.min,
-            processed_records: processed,
-            records_per_sec: processed as f64 / wall.mean,
-            records_per_sec_best: processed as f64 / wall.min,
-            emitted_pairs: emitted,
-            shuffled_pairs: shuffled,
-        },
-        out,
-    )
+    let cell = CellReport {
+        combining,
+        sampling_ratio: ratio,
+        wall_secs_mean: wall.mean,
+        wall_secs_min: wall.min,
+        processed_records: processed,
+        records_per_sec: processed as f64 / wall.mean,
+        records_per_sec_best: processed as f64 / wall.min,
+        emitted_pairs: metrics.emitted_pairs,
+        shuffled_pairs: metrics.shuffled_pairs,
+        approx_shuffled_bytes: (metrics.shuffled_pairs as f64 * bytes_per_pair) as u64,
+        map_p50_secs: percentile(&mut task_secs, 50),
+        map_p99_secs: percentile(&mut task_secs, 99),
+    };
+    (cell, out)
 }
 
-fn bench_scale(name: &str, blocks: usize, lines: usize) -> ScaleReport {
-    let corpus = wordcount_corpus(blocks, lines, 42);
-    let total_records: u64 = corpus.iter().map(|b| b.len() as u64).sum();
-    let input = VecSource::new(corpus);
+/// Runs the four cells of one scale through `run(combining, ratio,
+/// seed)`.
+fn bench_scale<O: PartialEq>(
+    (workload, name, blocks, lines): Scale,
+    bytes_per_pair: f64,
+    mut run: impl FnMut(bool, f64, u64) -> Run<O>,
+) -> ScaleReport {
     let mut cells = Vec::new();
-    let mut precise_outputs: Vec<Vec<(String, u64)>> = Vec::new();
+    let mut precise_outputs = Vec::new();
     for combining in [false, true] {
         for ratio in [1.0, 0.25] {
-            let (cell, out) = bench_cell(&input, combining, ratio);
-            print_cell(name, &cell);
+            let (cell, out) = bench_cell(combining, ratio, bytes_per_pair, &mut run);
+            print_cell(workload, name, &cell);
             if ratio >= 1.0 {
                 precise_outputs.push(out);
             }
@@ -206,19 +291,39 @@ fn bench_scale(name: &str, blocks: usize, lines: usize) -> ScaleReport {
     let processed: u64 = cells.iter().map(|c| c.processed_records).sum();
     let best_walls: f64 = cells.iter().map(|c| c.wall_secs_min).sum();
     ScaleReport {
-        name: name.to_string(),
+        workload,
+        name,
         blocks,
         lines_per_block: lines,
-        total_records,
+        total_records: (blocks * lines) as u64,
         cells,
         aggregate_records_per_sec_best: processed as f64 / best_walls,
         outputs_match: precise_outputs[0] == precise_outputs[1],
     }
 }
 
-fn print_cell(scale: &str, c: &CellReport) {
+fn bench_wordcount(scale: Scale) -> ScaleReport {
+    let corpus = wordcount_corpus(scale.2, scale.3, 42);
+    let words = corpus.iter().flatten().flat_map(|l| l.split_whitespace());
+    let (count, bytes) = words.fold((0usize, 0usize), |(n, b), w| (n + 1, b + w.len()));
+    // Approximate wire size: key bytes + 8-byte count.
+    let bytes_per_pair = bytes as f64 / count.max(1) as f64 + 8.0;
+    let input = VecSource::new(corpus);
+    bench_scale(scale, bytes_per_pair, |c, r, s| {
+        run_wordcount(&input, c, r, s)
+    })
+}
+
+fn bench_logratio(scale: Scale) -> ScaleReport {
+    let input = VecSource::new(log_corpus(scale.2, scale.3, 43));
+    // Key (4 B) + two f64 components.
+    bench_scale(scale, 20.0, |c, r, s| run_logratio(&input, c, r, s))
+}
+
+fn print_cell(workload: &str, scale: &str, c: &CellReport) {
     println!(
-        "{:>8} {:>9} {:>8} | {:>9.3} | {:>11.0} | {:>12} | {:>12}",
+        "{:>9} {:>6} {:>8} {:>7} | {:>7.3} | {:>9.0} | {:>8} | {:>8} | {:>7.4} | {:>7.4}",
+        workload,
         scale,
         if c.combining { "+combine" } else { "-combine" },
         if c.sampling_ratio >= 1.0 {
@@ -230,199 +335,100 @@ fn print_cell(scale: &str, c: &CellReport) {
         c.records_per_sec,
         c.emitted_pairs,
         c.shuffled_pairs,
+        c.map_p50_secs,
+        c.map_p99_secs,
     );
 }
 
-/// Extracts every `(scale key, aggregate records/s)` pair from a
-/// previously written report, parsed with the in-tree JSON reader (the
-/// serde shim is write-only).
-fn baseline_scales(
-    doc: &approxhadoop_obs::json::Value,
-) -> Option<std::collections::BTreeMap<(String, usize, usize), f64>> {
-    let mut scales = std::collections::BTreeMap::new();
-    for scale in doc.get("scales")?.as_array()? {
-        let name = scale.get("name")?.as_str()?.to_string();
-        let blocks = scale.get("blocks")?.as_f64()? as usize;
-        let lines = scale.get("lines_per_block")?.as_f64()? as usize;
-        let rps = scale.get("aggregate_records_per_sec_best")?.as_f64()?;
-        scales.insert((name, blocks, lines), rps);
-    }
-    Some(scales)
-}
-
-/// Compares `report` against the baseline at `path`; returns the list
-/// of regressions (empty = pass). Scales are matched by name *and*
-/// geometry, so a smoke run silently skips a full baseline's scales
-/// (and an all-skip comparison is an error, not a pass).
-fn compare_baseline(report: &Report, path: &str) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = approxhadoop_obs::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    let base_scales =
-        baseline_scales(&doc).ok_or_else(|| format!("{path} is not a hotpath report"))?;
-    let mut failures = Vec::new();
-    let mut compared = 0usize;
-    for s in &report.scales {
-        let key = (s.name.clone(), s.blocks, s.lines_per_block);
-        let Some(&base) = base_scales.get(&key) else {
-            continue;
-        };
-        compared += 1;
-        let floor = base * (1.0 - BASELINE_TOLERANCE);
-        if s.aggregate_records_per_sec_best < floor {
-            failures.push(format!(
-                "{}: {:.0} records/s aggregate is >{:.0}% below baseline {:.0}",
-                s.name,
-                s.aggregate_records_per_sec_best,
-                BASELINE_TOLERANCE * 100.0,
-                base,
+fn checks(body: &Body) -> Vec<Check> {
+    let mut checks = Vec::new();
+    for s in &body.scales {
+        let key = s.key();
+        let (raw, comb) = (s.cell(false, false), s.cell(true, false));
+        checks.push(Check::new(
+            s.outputs_match,
+            format!("{key}: raw and combined precise outputs match"),
+        ));
+        checks.push(Check::new(
+            comb.shuffled_pairs < raw.shuffled_pairs,
+            format!(
+                "{key}: combining shrinks the shuffle ({} < {} pairs)",
+                comb.shuffled_pairs, raw.shuffled_pairs
+            ),
+        ));
+        for sampled in [s.cell(false, true), s.cell(true, true)] {
+            checks.push(Check::new(
+                sampled.processed_records < s.total_records,
+                format!(
+                    "{key}: sampling skips records ({} < {})",
+                    sampled.processed_records, s.total_records
+                ),
+            ));
+        }
+        if s.workload == "wordcount" {
+            let reduction = comb.pair_reduction();
+            checks.push(Check::new(
+                reduction >= 10.0,
+                format!("{key}: combining cuts shuffled pairs {reduction:.1}x >= 10x"),
             ));
         }
     }
-    if compared == 0 {
-        return Err(format!(
-            "baseline {path} has no scales matching this run \
-             (smoke vs full mismatch?)"
-        ));
-    }
-    Ok(failures)
+    checks
 }
 
-fn main() {
-    let mut smoke = false;
-    let mut check = false;
-    let mut out = "BENCH_hotpath.json".to_string();
-    let mut baseline: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(path) => out = path,
-                None => {
-                    eprintln!("error: missing value for --out");
-                    std::process::exit(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(path) => baseline = Some(path),
-                None => {
-                    eprintln!("error: missing value for --baseline");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "error: unknown option `{other}` (expected --smoke/--check/--out/--baseline)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+/// `(workload, scale, blocks, records per block)`. Smoke scales are
+/// sized so the slowest cell still takes tens of milliseconds — long
+/// enough that the baseline gate measures code speed, not timer
+/// granularity.
+type Scale = (&'static str, &'static str, usize, usize);
+const SMOKE: &[Scale] = &[
+    ("wordcount", "small", 16, 4000),
+    ("wordcount", "medium", 24, 5000),
+    ("wordcount", "large", 32, 6000),
+    ("log-ratio", "small", 16, 100_000),
+];
+const FULL: &[Scale] = &[
+    ("wordcount", "small", 8, 1500),
+    ("wordcount", "medium", 16, 6000),
+    ("wordcount", "large", 32, 12_000),
+    ("log-ratio", "large", 32, 100_000),
+];
 
+fn main() {
+    let args = BenchArgs::from_env("hotpath");
     header(
         "Hot path",
-        "Per-record throughput across scales: {raw, combined} x {precise, sampled 0.25}",
+        "Per-record throughput across workloads and scales: {raw, combined} x {precise, sampled 0.25}",
     );
-    // Smoke scales are sized so the slowest cell still takes tens of
-    // milliseconds — long enough that the baseline gate measures code
-    // speed, not timer granularity.
-    let scales: &[(&str, usize, usize)] = if smoke {
-        &[
-            ("small", 16, 4000),
-            ("medium", 24, 5000),
-            ("large", 32, 6000),
-        ]
-    } else {
-        &[
-            ("small", 8, 1500),
-            ("medium", 16, 6000),
-            ("large", 32, 12_000),
-        ]
-    };
-
     println!(
-        "{:>8} {:>9} {:>8} | {:>9} | {:>11} | {:>12} | {:>12}",
-        "scale", "variant", "mode", "wall(s)", "records/s", "emitted", "shuffled"
+        " workload  scale  variant    mode | wall(s) | records/s |  emitted | shuffled | p50 map | p99 map"
     );
-    let reports: Vec<ScaleReport> = scales
+    let scales: Vec<ScaleReport> = (if args.smoke { SMOKE } else { FULL })
         .iter()
-        .map(|&(name, blocks, lines)| bench_scale(name, blocks, lines))
+        .map(|&scale| match scale.0 {
+            "wordcount" => bench_wordcount(scale),
+            _ => bench_logratio(scale),
+        })
         .collect();
-    for s in &reports {
-        let raw = s
-            .cells
-            .iter()
-            .find(|c| !c.combining && c.sampling_ratio >= 1.0);
-        let comb = s
-            .cells
-            .iter()
-            .find(|c| c.combining && c.sampling_ratio >= 1.0);
-        if let (Some(raw), Some(comb)) = (raw, comb) {
-            println!(
-                "{:>8} | {} records, combine speedup {:.2}x, outputs match: {}",
-                s.name,
-                s.total_records,
-                raw.wall_secs_mean / comb.wall_secs_mean,
-                s.outputs_match,
-            );
-        }
+    for s in &scales {
+        let (raw, comb) = (s.cell(false, false), s.cell(true, false));
+        println!(
+            "{:>16} | {} records, combine speedup {:.2}x, pairs ÷{:.1}, outputs match: {}",
+            s.key(),
+            s.total_records,
+            raw.wall_secs_mean / comb.wall_secs_mean,
+            comb.pair_reduction(),
+            s.outputs_match,
+        );
     }
 
-    let report = Report {
-        reps: reps(),
-        smoke,
-        scales: reports,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write benchmark report");
-    println!("wrote {out}");
-
-    let mut failures = Vec::new();
-    if check {
-        for s in &report.scales {
-            if !s.outputs_match {
-                failures.push(format!("{}: raw and combined outputs differ", s.name));
-            }
-            let raw = s
-                .cells
-                .iter()
-                .find(|c| !c.combining && c.sampling_ratio >= 1.0);
-            let comb = s
-                .cells
-                .iter()
-                .find(|c| c.combining && c.sampling_ratio >= 1.0);
-            if let (Some(raw), Some(comb)) = (raw, comb) {
-                if comb.shuffled_pairs >= raw.shuffled_pairs {
-                    failures.push(format!(
-                        "{}: combining did not shrink the shuffle ({} vs {})",
-                        s.name, comb.shuffled_pairs, raw.shuffled_pairs
-                    ));
-                }
-            }
-            for c in &s.cells {
-                if c.sampling_ratio < 1.0 && c.processed_records >= s.total_records {
-                    failures.push(format!(
-                        "{}: sampled cell processed every record ({})",
-                        s.name, c.processed_records
-                    ));
-                }
-            }
-        }
+    let mut report = Report::new("hotpath", &args, reps(), Body { scales });
+    report.gate.metric = "aggregate_records_per_sec_best".into();
+    report.gate.cells = (report.body.scales.iter())
+        .map(|s| (s.key(), s.aggregate_records_per_sec_best))
+        .collect();
+    if args.check {
+        report.checks = checks(&report.body);
     }
-    if let Some(path) = baseline {
-        match compare_baseline(&report, &path) {
-            Ok(regressions) => failures.extend(regressions),
-            Err(e) => failures.push(e),
-        }
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("CHECK FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-    if check {
-        println!("all checks passed");
-    }
+    finish(report, &args);
 }

@@ -10,33 +10,27 @@
 //! coordinator, the map-side Bloom filter and the per-stratum
 //! estimators all sit on this wall clock.
 //!
-//! Human-readable narration goes to stdout; one JSON document lands in
-//! `BENCH_join.json` (or `--out PATH`).
+//! Flags, report envelope and baseline gate are the shared harness's
+//! (see the `approxhadoop_bench` crate docs); the report lands in
+//! `BENCH_join.json`.
 //!
-//! ```text
-//! join [--smoke] [--check] [--out PATH] [--baseline PATH]
-//! ```
-//!
-//! * `--smoke` shrinks the log volumes for CI;
-//! * `--check` exits non-zero unless the precise run matches the
-//!   directly computed ground truth, sampled per-stratum intervals
-//!   cover it comfortably often (a loose floor that only a collapsed
-//!   estimator misses — the strict validation is the `join_e2e` test),
-//!   and the Bloom filter both passed and discarded traffic;
-//! * `--baseline PATH` compares each scale's aggregate best-of-reps log
-//!   records/s against a previously written report and exits non-zero
-//!   on any scale more than 20% slower than the baseline.
+//! * `--check` fails unless the precise run matches the directly
+//!   computed ground truth with a zero bound, the sampled run reports a
+//!   nonzero bound, skips log records and its per-stratum intervals
+//!   cover the truth comfortably often (a loose floor that only a
+//!   collapsed estimator misses — the strict validation is the
+//!   `join_e2e` test), and the Bloom filter both passed and discarded
+//!   traffic;
+//! * gate cell `join/<scale>/x<mult>` holds the scale's aggregate
+//!   best-of-reps log records/s over both cells.
 
 use std::sync::Arc;
 
-use approxhadoop_bench::{header, reps, timed, Summary};
+use approxhadoop_bench::{finish, header, reps, timed, BenchArgs, Check, Report, Summary};
 use approxhadoop_obs::Obs;
 use approxhadoop_runtime::engine::JobConfig;
 use approxhadoop_runtime::DatasetRatios;
 use approxhadoop_workloads::join::{join_category_traffic, JoinOutcome, JoinWorkload};
-
-/// Fractional slowdown per scale tolerated against the baseline.
-const BASELINE_TOLERANCE: f64 = 0.20;
 
 /// The sampled cell's log-side ratios.
 const SAMPLE_RATIO: f64 = 0.5;
@@ -84,10 +78,14 @@ struct ScaleReport {
     aggregate_records_per_sec_best: f64,
 }
 
+impl ScaleReport {
+    fn key(&self) -> String {
+        format!("join/{}/x{}", self.name, self.mult)
+    }
+}
+
 #[derive(Debug, Clone, serde::Serialize)]
-struct Report {
-    reps: usize,
-    smoke: bool,
+struct Body {
     sample_ratio: f64,
     drop_ratio: f64,
     scales: Vec<ScaleReport>,
@@ -216,92 +214,65 @@ fn print_cell(scale: &str, c: &CellReport) {
     );
 }
 
-/// Extracts every `(scale key, aggregate records/s)` pair from a
-/// previously written report, parsed with the in-tree JSON reader (the
-/// serde shim is write-only).
-fn baseline_scales(
-    doc: &approxhadoop_obs::json::Value,
-) -> Option<std::collections::BTreeMap<(String, u64), f64>> {
-    let mut scales = std::collections::BTreeMap::new();
-    for scale in doc.get("scales")?.as_array()? {
-        let name = scale.get("name")?.as_str()?.to_string();
-        let mult = scale.get("mult")?.as_f64()? as u64;
-        let rps = scale.get("aggregate_records_per_sec_best")?.as_f64()?;
-        scales.insert((name, mult), rps);
-    }
-    Some(scales)
-}
-
-/// Compares `report` against the baseline at `path`; returns the list
-/// of regressions (empty = pass). Scales are matched by name *and*
-/// multiplier, so a smoke run silently skips a full baseline's scales
-/// (and an all-skip comparison is an error, not a pass).
-fn compare_baseline(report: &Report, path: &str) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = approxhadoop_obs::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    let base_scales =
-        baseline_scales(&doc).ok_or_else(|| format!("{path} is not a join report"))?;
-    let mut failures = Vec::new();
-    let mut compared = 0usize;
-    for s in &report.scales {
-        let key = (s.name.clone(), s.mult);
-        let Some(&base) = base_scales.get(&key) else {
-            continue;
-        };
-        compared += 1;
-        let floor = base * (1.0 - BASELINE_TOLERANCE);
-        if s.aggregate_records_per_sec_best < floor {
-            failures.push(format!(
-                "{}: {:.0} records/s aggregate is >{:.0}% below baseline {:.0}",
-                s.name,
-                s.aggregate_records_per_sec_best,
-                BASELINE_TOLERANCE * 100.0,
-                base,
+fn checks(body: &Body) -> Vec<Check> {
+    let mut checks = Vec::new();
+    for s in &body.scales {
+        let key = s.key();
+        for c in &s.cells {
+            let mode = if c.sampled { "sampled" } else { "precise" };
+            // Precise runs must cover everywhere. Sampled 95%
+            // intervals get a deliberately loose 50% floor: with
+            // `APPROX_REPS=1` a cell holds only ~8 intervals, so a
+            // tight floor would fail on ordinary 5% misses. This
+            // gate only catches estimator collapse; the strict
+            // per-stratum statistical validation is the `join_e2e`
+            // seed-matrix test.
+            let floor = if c.sampled { 0.5 } else { 1.0 };
+            checks.push(Check::new(
+                c.stratum_coverage >= floor,
+                format!(
+                    "{key}: {mode} stratum coverage {:.0}% >= {:.0}%",
+                    c.stratum_coverage * 100.0,
+                    floor * 100.0
+                ),
+            ));
+            checks.push(Check::new(
+                c.discard_fraction > 0.0 && c.discard_fraction < 1.0,
+                format!(
+                    "{key}: {mode} Bloom filter discards some traffic, not all ({:.3})",
+                    c.discard_fraction
+                ),
             ));
         }
-    }
-    if compared == 0 {
-        return Err(format!(
-            "baseline {path} has no scales matching this run \
-             (smoke vs full mismatch?)"
+        let precise = s.cells.iter().find(|c| !c.sampled).expect("precise cell");
+        let sampled = s.cells.iter().find(|c| c.sampled).expect("sampled cell");
+        checks.push(Check::new(
+            precise.combined_rel_error == 0.0,
+            format!(
+                "{key}: precise run has a zero error bound ({:.4})",
+                precise.combined_rel_error
+            ),
+        ));
+        checks.push(Check::new(
+            sampled.combined_rel_error > 0.0,
+            format!(
+                "{key}: sampled run has a nonzero error bound ({:.4})",
+                sampled.combined_rel_error
+            ),
+        ));
+        checks.push(Check::new(
+            sampled.processed_log_records < precise.processed_log_records,
+            format!(
+                "{key}: sampling skips log records ({} < {})",
+                sampled.processed_log_records, precise.processed_log_records
+            ),
         ));
     }
-    Ok(failures)
+    checks
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut check = false;
-    let mut out = "BENCH_join.json".to_string();
-    let mut baseline: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = true,
-            "--out" => match it.next() {
-                Some(path) => out = path,
-                None => {
-                    eprintln!("error: missing value for --out");
-                    std::process::exit(2);
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(path) => baseline = Some(path),
-                None => {
-                    eprintln!("error: missing value for --baseline");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "error: unknown option `{other}` (expected --smoke/--check/--out/--baseline)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let args = BenchArgs::from_env("join");
     header(
         "Join",
         "Two-input Bloom-filtered join across log volumes: {precise, sampled 0.5/drop 0.25}",
@@ -309,91 +280,28 @@ fn main() {
     // Smoke scales are sized so the fastest cell still takes tens of
     // milliseconds — small enough for CI, large enough that the
     // baseline gate measures code speed, not timer granularity.
-    let scales: &[(&str, u64)] = if smoke {
+    let scales: &[(&str, u64)] = if args.smoke {
         &[("small", 2), ("medium", 4)]
     } else {
         &[("small", 2), ("medium", 4), ("large", 8)]
     };
 
-    println!(
-        "{:>8} {:>8} | {:>9} | {:>11} | {:>9} | {:>9} | {:>6}",
-        "scale", "mode", "wall(s)", "records/s", "discard", "±95%", "covers"
-    );
-    let reports: Vec<ScaleReport> = scales
-        .iter()
-        .map(|&(name, mult)| bench_scale(name, mult))
-        .collect();
-
-    let report = Report {
-        reps: reps(),
-        smoke,
+    println!("   scale     mode |   wall(s) |   records/s |   discard |      ±95% | covers");
+    let body = Body {
         sample_ratio: SAMPLE_RATIO,
         drop_ratio: DROP_RATIO,
-        scales: reports,
+        scales: scales
+            .iter()
+            .map(|&(name, mult)| bench_scale(name, mult))
+            .collect(),
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write benchmark report");
-    println!("wrote {out}");
-
-    let mut failures = Vec::new();
-    if check {
-        for s in &report.scales {
-            for c in &s.cells {
-                // Precise runs must cover everywhere. Sampled 95%
-                // intervals get a deliberately loose 50% floor: with
-                // `APPROX_REPS=1` a cell holds only ~8 intervals, so a
-                // tight floor would fail on ordinary 5% misses. This
-                // gate only catches estimator collapse; the strict
-                // per-stratum statistical validation is the `join_e2e`
-                // seed-matrix test.
-                let floor = if c.sampled { 0.5 } else { 1.0 };
-                if c.stratum_coverage < floor {
-                    failures.push(format!(
-                        "{}: {} stratum coverage {:.0}% is below {:.0}%",
-                        s.name,
-                        if c.sampled { "sampled" } else { "precise" },
-                        c.stratum_coverage * 100.0,
-                        floor * 100.0
-                    ));
-                }
-                if c.discard_fraction <= 0.0 || c.discard_fraction >= 1.0 {
-                    failures.push(format!(
-                        "{}: Bloom filter did no useful work (discard fraction {:.3})",
-                        s.name, c.discard_fraction
-                    ));
-                }
-            }
-            let precise = s.cells.iter().find(|c| !c.sampled);
-            let sampled = s.cells.iter().find(|c| c.sampled);
-            if let (Some(p), Some(a)) = (precise, sampled) {
-                if p.combined_rel_error != 0.0 {
-                    failures.push(format!(
-                        "{}: precise run reported a nonzero error bound ({:.4})",
-                        s.name, p.combined_rel_error
-                    ));
-                }
-                if a.processed_log_records >= p.processed_log_records {
-                    failures.push(format!(
-                        "{}: sampling processed every log record ({} vs {})",
-                        s.name, a.processed_log_records, p.processed_log_records
-                    ));
-                }
-            }
-        }
+    let mut report = Report::new("join", &args, reps(), body);
+    report.gate.metric = "aggregate_records_per_sec_best".into();
+    report.gate.cells = (report.body.scales.iter())
+        .map(|s| (s.key(), s.aggregate_records_per_sec_best))
+        .collect();
+    if args.check {
+        report.checks = checks(&report.body);
     }
-    if let Some(path) = baseline {
-        match compare_baseline(&report, &path) {
-            Ok(regressions) => failures.extend(regressions),
-            Err(e) => failures.push(e),
-        }
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("CHECK FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-    if check {
-        println!("all checks passed");
-    }
+    finish(report, &args);
 }

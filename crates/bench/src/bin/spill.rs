@@ -12,20 +12,16 @@
 //! (`cargo build --release -p approxhadoop-runtime --bin
 //! approx-worker-rt` puts it there).
 //!
-//! Human-readable narration goes to stdout; one JSON document lands in
-//! `BENCH_spill.json` (or `--out PATH`).
+//! Flags and report envelope are the shared harness's (see the
+//! `approxhadoop_bench` crate docs); the report lands in
+//! `BENCH_spill.json`. It has no gate cells, so `--baseline` fails.
 //!
-//! ```text
-//! spill [--smoke] [--check] [--workers N] [--out PATH]
-//! ```
-//!
-//! * `--smoke` shrinks the dataset for CI;
-//! * `--check` exits non-zero unless the tight budgets spilled, the
-//!   ample budget did not, and all budgets agreed on every output.
+//! * `--check` fails unless the tight budgets spilled, the ample budget
+//!   did not, and all budgets agreed on every output.
 
 use std::sync::Arc;
 
-use approxhadoop_bench::{header, reps, timed, Summary};
+use approxhadoop_bench::{finish, header, reps, timed, BenchArgs, Check, Report, Summary};
 use approxhadoop_obs::Obs;
 use approxhadoop_runtime::engine::{run_job_process, JobConfig, WorkerSpec};
 use approxhadoop_runtime::input::VecSource;
@@ -44,10 +40,11 @@ struct BudgetReport {
     outputs_match: bool,
 }
 
+/// Worker processes per run.
+const WORKERS: usize = 2;
+
 #[derive(Debug, Clone, serde::Serialize)]
-struct Report {
-    reps: usize,
-    smoke: bool,
+struct Body {
     workers: usize,
     blocks: usize,
     entries_per_block: usize,
@@ -70,14 +67,13 @@ fn corpus(blocks: usize, entries: usize) -> Vec<Vec<u32>> {
 fn run_budget(
     spec: &WorkerSpec,
     blocks: &[Vec<u32>],
-    workers: usize,
     budget: usize,
     spill_dir: &std::path::Path,
 ) -> (f64, Vec<(u32, u64, String)>, u64, u64) {
     let obs = Obs::shared();
     let input = VecSource::new(blocks.to_vec());
     let config = JobConfig {
-        workers,
+        workers: WORKERS,
         reduce_tasks: 4,
         shuffle_mem_bytes: budget,
         spill_dir: Some(spill_dir.to_path_buf()),
@@ -116,39 +112,28 @@ fn run_budget(
     )
 }
 
-fn main() {
-    let mut smoke = false;
-    let mut check = false;
-    let mut workers = 2usize;
-    let mut out = "BENCH_spill.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--check" => check = true,
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => workers = n,
-                _ => {
-                    eprintln!("error: --workers needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(path) => out = path,
-                None => {
-                    eprintln!("error: missing value for --out");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "error: unknown option `{other}` (expected --smoke/--check/--workers/--out)"
-                );
-                std::process::exit(2);
-            }
+fn checks(body: &Body) -> Vec<Check> {
+    let ample = body.budgets.last().expect("budget sweep is non-empty");
+    let mut checks = vec![Check::new(
+        ample.spill_runs == 0,
+        format!("ample {} B budget spills no runs", ample.budget_bytes),
+    )];
+    for b in &body.budgets {
+        if b.budget_bytes != ample.budget_bytes {
+            let name = format!("tight {} B budget spills", b.budget_bytes);
+            checks.push(Check::new(b.spill_runs > 0, name));
         }
+        let name = format!(
+            "{} B budget outputs match the in-memory run",
+            b.budget_bytes
+        );
+        checks.push(Check::new(b.outputs_match, name));
     }
+    checks
+}
 
+fn main() {
+    let args = BenchArgs::from_env("spill");
     let spec = match WorkerSpec::sibling("approx-worker-rt", "wide-pairs") {
         Ok(spec) => spec,
         Err(e) => {
@@ -164,11 +149,11 @@ fn main() {
         "Spill",
         "Process-backend shuffle: spilling budgets vs in-memory, same outputs",
     );
-    let (blocks, entries) = if smoke { (8, 400) } else { (24, 4000) };
+    let (blocks, entries) = if args.smoke { (8, 400) } else { (24, 4000) };
     let data = corpus(blocks, entries);
     // ~108 B per encoded pair; the tight budgets sit well below one
     // block's output, the ample one above the whole job's.
-    let budgets: Vec<usize> = if smoke {
+    let budgets: Vec<usize> = if args.smoke {
         vec![4 << 10, 16 << 10, 64 << 20]
     } else {
         vec![16 << 10, 256 << 10, 64 << 20]
@@ -178,10 +163,7 @@ fn main() {
         std::env::temp_dir().join(format!("approx-bench-spill-{}", std::process::id()));
     std::fs::create_dir_all(&spill_root).expect("create spill scratch dir");
 
-    println!(
-        "{:>12} | {:>9} | {:>9} | {:>10} | {:>12} | {:>7}",
-        "budget", "wall(s)", "min(s)", "spill runs", "spill bytes", "match"
-    );
+    println!("      budget |   wall(s) |    min(s) | spill runs |  spill bytes |   match");
     let mut reference: Option<Vec<(u32, u64, String)>> = None;
     let mut rows = Vec::new();
     // Sweep largest budget first so the in-memory run is the reference.
@@ -189,8 +171,7 @@ fn main() {
         let mut walls = Vec::new();
         let mut last = None;
         for _ in 0..reps() {
-            let (secs, outputs, runs, bytes) =
-                run_budget(&spec, &data, workers, budget, &spill_root);
+            let (secs, outputs, runs, bytes) = run_budget(&spec, &data, budget, &spill_root);
             walls.push(secs);
             last = Some((outputs, runs, bytes));
         }
@@ -226,49 +207,15 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&spill_root);
 
-    let report = Report {
-        reps: reps(),
-        smoke,
-        workers,
+    let body = Body {
+        workers: WORKERS,
         blocks,
         entries_per_block: entries,
         budgets: rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out, json).expect("write benchmark report");
-    println!("wrote {out}");
-
-    if check {
-        let mut failures = Vec::new();
-        let ample = report.budgets.last().expect("budget sweep is non-empty");
-        if ample.spill_runs != 0 {
-            failures.push(format!(
-                "ample {} B budget spilled {} runs; expected none",
-                ample.budget_bytes, ample.spill_runs
-            ));
-        }
-        for b in &report.budgets[..report.budgets.len() - 1] {
-            if b.spill_runs == 0 {
-                failures.push(format!(
-                    "tight {} B budget never spilled; sweep is not exercising the spill path",
-                    b.budget_bytes
-                ));
-            }
-        }
-        for b in &report.budgets {
-            if !b.outputs_match {
-                failures.push(format!(
-                    "{} B budget outputs differ from the in-memory reference",
-                    b.budget_bytes
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("CHECK FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("all checks passed");
+    let mut report = Report::new("spill", &args, reps(), body);
+    if args.check {
+        report.checks = checks(&report.body);
     }
+    finish(report, &args);
 }
