@@ -11,17 +11,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::Sender;
-
+use crate::combine::Combiner;
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::input::{DatasetId, InputSource};
 use crate::mapper::{MapTaskContext, Mapper};
 use crate::metrics::MapStats;
-use crate::reducer::{MapOutputMeta, ReduceEvent};
-use crate::types::{Partitioner, TaskId};
+use crate::reducer::MapOutputMeta;
+use crate::types::{Key, Partitioner, TaskId, Value};
 use crate::RuntimeError;
-
-use super::shuffle;
 
 /// Records pulled from the input stream per timing slice: the lazy read
 /// work (block decode, sample filtering) is attributed to `read_secs`
@@ -126,27 +123,58 @@ pub(crate) fn read_seed(job_seed: u64, task: usize) -> u64 {
     job_seed ^ (task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Executes one map attempt on a worker (task-tracker thread or pool
-/// slot): honors the kill flag, injects configured faults, streams the
-/// sampled split through the mapper (with optional map-side combining),
-/// ships one pre-partitioned batch per reducer, and reports the outcome.
-pub(crate) fn run_map_attempt<S, M>(
+/// Where one attempt's map output goes: the in-process backends'
+/// reducer channels ([`MapBuffers`](super::shuffle::MapBuffers)) or a
+/// worker process's spill-capable shuffle, drained into `Output`
+/// frames. Each backend implements it once; [`run_map_attempt`] is
+/// generic over it, so every emission is a static call. `'c` is the
+/// lifetime of the mapper the attempt's combiner borrows from.
+pub(crate) trait MapOutputs<'c, K: Key, V: Value> {
+    /// Number of reduce partitions the pairs are split over.
+    fn partitions(&self) -> usize;
+
+    /// Called once the split is open, before the first emission: takes
+    /// the attempt's combiner (if combining) and discards whatever an
+    /// aborted predecessor left behind.
+    fn begin(&mut self, combiner: Option<&'c dyn Combiner<K, V>>);
+
+    /// Buffers one pair for `partition` (its key hashes to `hash`). An
+    /// output that cannot buffer (a failed spill) keeps the error for
+    /// [`ship`](MapOutputs::ship) and drops later pairs.
+    fn emit(&mut self, partition: usize, hash: u64, key: K, value: V);
+
+    /// Hands the buffered pairs off to the reducers and returns how
+    /// many were shuffled.
+    fn ship(&mut self, meta: MapOutputMeta) -> crate::Result<u64>;
+}
+
+/// Executes one map attempt — on a task-tracker thread, a pool slot or
+/// a worker process alike: honors the kill flag, injects configured
+/// faults, streams the sampled split through the mapper (with optional
+/// map-side combining) into `out`, hands the outputs off, and returns
+/// the outcome.
+pub(crate) fn run_map_attempt<'m, S, M, O>(
     input: &S,
-    mapper: &M,
+    mapper: &'m M,
     work: &WorkItem,
-    reducer_txs: &[Sender<ReduceEvent<M::Key, M::Value>>],
-    msg_tx: &Sender<WorkerMsg>,
-    bufs: &mut shuffle::MapBuffers<M::Key, M::Value>,
-) where
+    out: &mut O,
+) -> WorkerMsg
+where
     S: InputSource,
     M: Mapper<Item = S::Item>,
+    O: MapOutputs<'m, M::Key, M::Value>,
 {
+    let failed = |error| WorkerMsg::Failed {
+        task: work.task,
+        attempt: work.attempt,
+        error,
+    };
+    let aborted = || WorkerMsg::Killed {
+        task: work.task,
+        attempt: work.attempt,
+    };
     if work.kill.load(Ordering::SeqCst) {
-        let _ = msg_tx.send(WorkerMsg::Killed {
-            task: work.task,
-            attempt: work.attempt,
-        });
-        return;
+        return aborted();
     }
     let decision = work
         .fault
@@ -154,14 +182,9 @@ pub(crate) fn run_map_attempt<S, M>(
         .map(|f| f.decide(work.task.0, work.attempt))
         .unwrap_or(FaultDecision::None);
     if decision == FaultDecision::IoError {
-        let _ = msg_tx.send(WorkerMsg::Failed {
-            task: work.task,
-            attempt: work.attempt,
-            error: RuntimeError::InjectedFault {
-                what: format!("input read of {} (attempt {})", work.task, work.attempt),
-            },
+        return failed(RuntimeError::InjectedFault {
+            what: format!("input read of {} (attempt {})", work.task, work.attempt),
         });
-        return;
     }
     let t0 = Instant::now();
     // Clone-free read path: the source yields records lazily (precise
@@ -169,42 +192,28 @@ pub(crate) fn run_map_attempt<S, M>(
     // sample) instead of handing back a fully cloned vector.
     let mut stream = match input.stream_split(work.task.0, work.sampling_ratio, work.seed) {
         Ok(s) => s,
-        Err(e) => {
-            let _ = msg_tx.send(WorkerMsg::Failed {
-                task: work.task,
-                attempt: work.attempt,
-                error: e,
-            });
-            return;
-        }
+        Err(e) => return failed(e),
     };
     // Stream construction is only the first slice of read time; the lazy
     // reads themselves are timed batch-by-batch in the loop below.
     let construct_secs = t0.elapsed().as_secs_f64();
     let total_records = stream.total;
     let sampled_records = stream.sampled;
-    let num_reducers = reducer_txs.len();
     let combiner = if work.combining {
         mapper.combiner()
     } else {
         None
     };
-    bufs.reset(num_reducers);
-    let partitioner = Partitioner::new(num_reducers);
+    out.begin(combiner);
+    let partitioner = Partitioner::new(out.partitions());
     // User map code may panic; contain it so the JobTracker can fail the
-    // job cleanly instead of losing a worker thread (and hanging). The
-    // arena buffers are safe to reuse after a panic: `reset` discards
-    // any partial state at the start of the next attempt.
+    // job cleanly instead of losing a worker (and hanging). The output
+    // buffers are safe to reuse after a panic: `begin` discards any
+    // partial state at the start of the next attempt.
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if decision == FaultDecision::MapPanic {
             panic!("injected map panic in {}", work.task);
         }
-        // Raw path: one pre-sized Vec of pairs per reducer. Combining
-        // path: one hash-fold table per reducer, sorted once per batch
-        // at ship time (so batch order — and with it the whole job —
-        // stays deterministic).
-        let raw = &mut bufs.raw;
-        let combined = &mut bufs.combined;
         let mut emitted = 0u64;
         let mut read_secs = construct_secs;
         let ctx = MapTaskContext {
@@ -214,6 +223,13 @@ pub(crate) fn run_map_attempt<S, M>(
             attempt: work.attempt,
         };
         let mut state = mapper.begin_task(&ctx);
+        let mut emit = |k, v| {
+            emitted += 1;
+            // One hash per pair, shared by the partitioner and the
+            // combine-table probe.
+            let h = crate::types::fx_hash(&k);
+            out.emit(partitioner.partition_of_hash(h), h, k, v);
+        };
         let mut killed = false;
         let mut batch: Vec<S::Item> = Vec::with_capacity(READ_BATCH);
         let mut exhausted = false;
@@ -234,70 +250,52 @@ pub(crate) fn run_map_attempt<S, M>(
                     killed = true;
                     break;
                 }
-                mapper.map(&mut state, item, &mut |k, v| {
-                    emitted += 1;
-                    // One hash per pair, shared by the partitioner and
-                    // the combine-table probe.
-                    let h = crate::types::fx_hash(&k);
-                    let p = partitioner.partition_of_hash(h);
-                    crate::combine::route_emission(combiner, raw, combined, p, h, k, v);
-                });
+                mapper.map(&mut state, item, &mut emit);
             }
         }
         if !killed {
-            mapper.end_task(state, &mut |k, v| {
-                emitted += 1;
-                let h = crate::types::fx_hash(&k);
-                let p = partitioner.partition_of_hash(h);
-                crate::combine::route_emission(combiner, raw, combined, p, h, k, v);
-            });
+            mapper.end_task(state, &mut emit);
         }
         (emitted, killed, read_secs)
     }));
     let (emitted, killed, read_secs) = match run {
         Ok(r) => r,
         Err(_) => {
-            let _ = msg_tx.send(WorkerMsg::Failed {
-                task: work.task,
-                attempt: work.attempt,
-                error: RuntimeError::TaskPanicked {
-                    what: format!("user map code in {}", work.task),
-                },
-            });
-            return;
+            return failed(RuntimeError::TaskPanicked {
+                what: format!("user map code in {}", work.task),
+            })
         }
     };
     if killed {
-        let _ = msg_tx.send(WorkerMsg::Killed {
-            task: work.task,
-            attempt: work.attempt,
-        });
-        return;
+        return aborted();
     }
-    let duration_secs = t0.elapsed().as_secs_f64();
     let meta = MapOutputMeta {
         task: work.task,
         dataset: work.dataset,
         total_records,
         sampled_records,
-        duration_secs,
+        duration_secs: t0.elapsed().as_secs_f64(),
     };
-    let shuffled = shuffle::ship_outputs(reducer_txs, meta, combiner.is_some(), bufs);
-    let stats = MapStats {
-        task: work.task,
-        dataset: work.dataset,
-        total_records,
-        sampled_records,
-        emitted,
-        shuffled,
-        duration_secs,
-        read_secs,
+    let shuffled = match out.ship(meta) {
+        Ok(n) => n,
+        Err(e) => return failed(e),
     };
-    let _ = msg_tx.send(WorkerMsg::Completed {
-        stats,
+    WorkerMsg::Completed {
+        stats: MapStats {
+            task: work.task,
+            dataset: work.dataset,
+            total_records,
+            sampled_records,
+            emitted,
+            shuffled,
+            // One clock on every backend: the attempt ends once its
+            // outputs are handed off.
+            duration_secs: t0.elapsed().as_secs_f64(),
+            read_secs,
+        },
         attempt: work.attempt,
         spans: Vec::new(),
-    });
+    }
 }
 
 #[cfg(test)]
@@ -469,7 +467,6 @@ mod tests {
         let input = SlowStreamSource { items, per_item };
         let mapper = FnMapper::new(|i: &u64, emit: &mut dyn FnMut(u8, u64)| emit(0, *i));
         let (reduce_tx, _reduce_rx) = unbounded();
-        let (msg_tx, msg_rx) = unbounded();
         let work = super::WorkItem {
             task: crate::types::TaskId(0),
             dataset: Default::default(),
@@ -481,10 +478,10 @@ mod tests {
             combining: false,
             span: 0,
         };
-        let mut bufs = super::shuffle::MapBuffers::new();
-        super::run_map_attempt(&input, &mapper, &work, &[reduce_tx], &msg_tx, &mut bufs);
+        let mut bufs = super::super::shuffle::MapBuffers::new(vec![reduce_tx]);
+        let msg = super::run_map_attempt(&input, &mapper, &work, &mut bufs);
 
-        let super::WorkerMsg::Completed { stats, .. } = msg_rx.recv().unwrap() else {
+        let super::WorkerMsg::Completed { stats, .. } = msg else {
             panic!("attempt must complete");
         };
         // 10 items * 2 ms lives inside `next()`; allow generous slack for

@@ -314,9 +314,9 @@ where
                     // every attempt it runs: combine tables keep their
                     // hash-table allocations, raw pair vectors start
                     // pre-sized.
-                    let mut bufs = shuffle::MapBuffers::new();
+                    let mut bufs = shuffle::MapBuffers::new(reducer_txs);
                     for work in task_rx.iter() {
-                        run_map_attempt(input, mapper, &work, &reducer_txs, &msg_tx, &mut bufs);
+                        let _ = msg_tx.send(run_map_attempt(input, mapper, &work, &mut bufs));
                     }
                 });
             }
@@ -376,9 +376,9 @@ where
                     Box::new(move || {
                         // Pool slots are shared across jobs with different
                         // key/value types, so the buffers live per attempt
-                        // here; the scoped and process backends reuse theirs.
-                        let mut bufs = shuffle::MapBuffers::new();
-                        run_map_attempt(&*input, &*mapper, &work, &attempt_txs, &msg_tx, &mut bufs);
+                        // here; the scoped backend reuses its own.
+                        let mut bufs = shuffle::MapBuffers::new(attempt_txs);
+                        let _ = msg_tx.send(run_map_attempt(&*input, &*mapper, &work, &mut bufs));
                     }),
                 )
             };

@@ -14,9 +14,10 @@
 //!   scoped task-tracker threads (job-private simulated servers) and
 //!   the shared [`crate::pool::SlotPool`] (service mode).
 //! * [`process`] — the third backend: worker OS processes.
-//! * `attempt` — the worker-side body of one map attempt.
-//! * `shuffle` — per-reducer channels, batch shipping, drop
-//!   broadcasts and the reduce-side drain loop.
+//! * `attempt` — `run_map_attempt`, the one map-attempt body of all
+//!   three backends, generic over where its pairs go (`MapOutputs`).
+//! * `shuffle` — per-reducer channels, the in-process `MapOutputs`,
+//!   drop broadcasts and the reduce-side drain loop.
 //! * `clock` — the time source scheduling decisions consult, swapped
 //!   for a fake in deterministic tests.
 //!

@@ -308,19 +308,25 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
         }
     }
 
+    /// Ends an in-flight attempt without output: discards what it
+    /// stashed and queues `msg` for the tracker.
+    fn abandon(&mut self, key: (u64, u32), msg: WorkerMsg) {
+        if self.inflight.remove(&key).is_some() {
+            self.stash.remove(&key);
+            self.span_stash.remove(&key);
+            self.pending.push_back(msg);
+        }
+    }
+
     /// Synthesizes a [`RuntimeError::WorkerLost`] failure for an
     /// attempt whose worker can no longer report it.
     fn fail_attempt(&mut self, key: (u64, u32), what: String) {
-        if self.inflight.remove(&key).is_none() {
-            return;
-        }
-        self.stash.remove(&key);
-        self.span_stash.remove(&key);
-        self.pending.push_back(WorkerMsg::Failed {
+        let msg = WorkerMsg::Failed {
             task: TaskId(key.0 as usize),
             attempt: key.1,
             error: RuntimeError::WorkerLost { what },
-        });
+        };
+        self.abandon(key, msg);
     }
 
     /// Forwards freshly raised kill flags as `Kill` frames. Sound
@@ -422,7 +428,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                 spill_runs: _,
                 spill_bytes: _,
             } => {
-                let key = (stats.task, attempt);
+                let key = (stats.task.0 as u64, attempt);
                 if self.inflight.remove(&key).is_none() {
                     return;
                 }
@@ -431,7 +437,6 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                     .stash
                     .remove(&key)
                     .unwrap_or_else(|| (0..partitions).map(|_| Vec::new()).collect());
-                let stats: crate::metrics::MapStats = stats.into();
                 let meta = MapOutputMeta {
                     task: stats.task,
                     dataset: stats.dataset,
@@ -440,7 +445,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                     duration_secs: stats.duration_secs,
                 };
                 // One MapOutput per reducer even when the batch is
-                // empty — identical to `shuffle::ship_outputs`.
+                // empty — identical to `MapBuffers::ship`.
                 for (p, pairs) in parts.into_iter().enumerate() {
                     let _ = self.reducer_txs[p].send(ReduceEvent::MapOutput { meta, pairs });
                 }
@@ -452,33 +457,23 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                 });
             }
             FromWorker::Killed { task, attempt } => {
-                let key = (task, attempt);
-                if self.inflight.remove(&key).is_none() {
-                    return;
-                }
-                self.stash.remove(&key);
-                self.span_stash.remove(&key);
-                self.pending.push_back(WorkerMsg::Killed {
+                let msg = WorkerMsg::Killed {
                     task: TaskId(task as usize),
                     attempt,
-                });
+                };
+                self.abandon((task, attempt), msg);
             }
             FromWorker::Failed {
                 task,
                 attempt,
                 error,
             } => {
-                let key = (task, attempt);
-                if self.inflight.remove(&key).is_none() {
-                    return;
-                }
-                self.stash.remove(&key);
-                self.span_stash.remove(&key);
-                self.pending.push_back(WorkerMsg::Failed {
+                let msg = WorkerMsg::Failed {
                     task: TaskId(task as usize),
                     attempt,
                     error: error.into_error(),
-                });
+                };
+                self.abandon((task, attempt), msg);
             }
             FromWorker::Telemetry {
                 task,

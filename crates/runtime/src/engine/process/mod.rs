@@ -19,11 +19,16 @@
 //!
 //! The parent snapshots the job's input into a spool file
 //! ([`approxhadoop_dfs::FileStore`]); workers `mmap` it and decode only
-//! the blocks they are assigned, so input bytes cross the process
-//! boundary zero-copy through the page cache rather than through the
-//! pipes. Each worker is one map slot on its own simulated server, so
-//! locality, speculation, blacklisting and degrade-to-drop behave
-//! exactly as on the scoped backend.
+//! the blocks they are assigned (keeping the systematic sample), so
+//! input bytes cross the process boundary zero-copy through the page
+//! cache rather than through the pipes. Each worker is one map slot on
+//! its own simulated server, so locality, speculation, blacklisting and
+//! degrade-to-drop behave exactly as on the scoped backend.
+//!
+//! Workers run each attempt through the in-process backends' attempt
+//! body, with the spill-capable shuffle as its output; only the
+//! dataset-tag check, the `approx_worker_*` counters, the worker spans
+//! and the outcome frames are the worker's own.
 //!
 //! Closures cannot be shipped to another process, so process-backend
 //! jobs are *named*: the worker binary registers mappers in a

@@ -12,26 +12,32 @@
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::marker::PhantomData;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use approxhadoop_dfs::{BlockId, FileStore};
 use approxhadoop_ipc::{read_frame, write_frame, Decoder, Wire};
-use approxhadoop_obs::{DeltaCursor, Obs};
+use approxhadoop_obs::{Counter, DeltaCursor, Obs};
 
-use crate::fault::FaultDecision;
-use crate::input::{sample_systematic_indices, DatasetId};
-use crate::mapper::{MapTaskContext, Mapper};
-use crate::types::{fx_hash, Partitioner, TaskId};
+use crate::combine::Combiner;
+use crate::input::{sample_systematic_owned, DatasetId, InputSource, SampledItems, SplitMeta};
+use crate::mapper::Mapper;
+use crate::reducer::MapOutputMeta;
+use crate::types::{Key, TaskId, Value};
+use crate::RuntimeError;
 
-use super::spill::SpillShuffle;
-use super::wire::{FromWorker, ToWorker, WireJobError, WireMapStats, WireWorkItem, WorkerJobSpec};
+use super::super::attempt::{run_map_attempt, MapOutputs, WorkItem, WorkerMsg};
+use super::spill::{SpillReport, SpillShuffle};
+use super::wire::{FromWorker, ToWorker, WireJobError, WireWorkItem, WorkerJobSpec};
 
 /// Kill flags of in-flight attempts, shared with the frame-reader
 /// thread and keyed by `(task, attempt)`.
 type KillMap = Arc<Mutex<HashMap<(u64, u32), Arc<AtomicBool>>>>;
+
+/// Writes one frame to the parent.
+type SendFrame<'a> = dyn FnMut(FromWorker) -> std::io::Result<()> + 'a;
 
 /// Map-output chunks are flushed to the pipe at roughly this size.
 const CHUNK_BYTES: usize = 1 << 20;
@@ -39,24 +45,9 @@ const CHUNK_BYTES: usize = 1 << 20;
 /// The per-job environment a worker builds from its
 /// [`WorkerJobSpec`](super::wire::WorkerJobSpec).
 struct WorkerEnv {
+    spec: WorkerJobSpec,
     spool: FileStore,
-    num_reducers: usize,
-    shuffle_mem_bytes: usize,
-    spill_dir: PathBuf,
-    datasets: Vec<(u32, u64)>,
     telemetry: Option<WorkerTelemetry>,
-}
-
-impl WorkerEnv {
-    /// Whether a work item tagged `dataset` is admitted by the job
-    /// spec's dataset table (an empty table admits only dataset 0).
-    fn admits_dataset(&self, dataset: u32) -> bool {
-        if self.datasets.is_empty() {
-            dataset == 0
-        } else {
-            self.datasets.iter().any(|&(d, _)| d == dataset)
-        }
-    }
 }
 
 /// The worker's own observability context, present when the job spec
@@ -67,6 +58,27 @@ struct WorkerTelemetry {
     obs: Arc<Obs>,
     cursor: Mutex<DeltaCursor>,
     label: String,
+}
+
+impl WorkerTelemetry {
+    fn counter(&self, name: &str) -> Arc<Counter> {
+        self.obs.registry.counter(name, &[("job", &self.label)])
+    }
+
+    /// Microseconds on the local tracer's clock; 0 without telemetry.
+    fn now_us(tel: Option<&Self>) -> u64 {
+        tel.map_or(0, |t| t.obs.tracer.now_us())
+    }
+
+    /// Records a `worker` span from `from_us` until now.
+    fn span(tel: Option<&Self>, name: &str, from_us: u64) {
+        if let Some(t) = tel {
+            let dur = t.obs.tracer.now_us().saturating_sub(from_us).max(1);
+            t.obs
+                .tracer
+                .complete(name, "worker", from_us, dur, 0, 0, None, vec![]);
+        }
+    }
 }
 
 /// The worker process's single observability context.
@@ -85,13 +97,14 @@ pub fn worker_obs() -> Arc<Obs> {
 /// Object-safe attempt runner; one per registered job, erased over the
 /// job's item/key/value types.
 trait RunnableJob: Send + Sync {
-    fn run_attempt(
+    /// Runs `work` through [`run_map_attempt`], streaming its output as
+    /// `Output` frames. Fails only when a frame cannot be written.
+    fn run(
         &self,
         env: &WorkerEnv,
-        work: &WireWorkItem,
-        kill: &AtomicBool,
-        send: &mut dyn FnMut(FromWorker) -> std::io::Result<()>,
-    ) -> std::io::Result<()>;
+        work: &WorkItem,
+        send: &mut SendFrame<'_>,
+    ) -> std::io::Result<(WorkerMsg, SpillReport)>;
 }
 
 type JobBuilder = Box<dyn Fn(&[u8]) -> Result<Box<dyn RunnableJob>, String> + Send + Sync>;
@@ -126,7 +139,7 @@ impl JobRegistry {
     /// implement [`Wire`] identically on the submitting side.
     pub fn register<I, M, F>(&mut self, name: &str, build: F)
     where
-        I: Wire + Clone + Send + Sync + 'static,
+        I: Wire + Send + 'static,
         M: Mapper<Item = I> + 'static,
         M::Key: Wire,
         M::Value: Wire,
@@ -136,7 +149,7 @@ impl JobRegistry {
             name.to_string(),
             Box::new(move |params| {
                 let mapper = build(params)?;
-                Ok(Box::new(TypedJob { mapper }) as Box<dyn RunnableJob>)
+                Ok(Box::new(mapper) as Box<dyn RunnableJob>)
             }),
         );
     }
@@ -154,356 +167,285 @@ impl JobRegistry {
     }
 }
 
-struct TypedJob<M> {
-    mapper: M,
-}
-
-impl<I, M> RunnableJob for TypedJob<M>
+impl<M> RunnableJob for M
 where
-    I: Wire + Clone + Send + Sync + 'static,
-    M: Mapper<Item = I>,
+    M: Mapper,
+    M::Item: Wire,
     M::Key: Wire,
     M::Value: Wire,
 {
-    /// Replicates `run_map_attempt` exactly — same fault decisions, same
-    /// kill points, same panic containment, same metadata — with the
-    /// shuffle buffer swapped for the spill-capable one and outputs
-    /// shipped as chunked frames instead of channel sends.
-    fn run_attempt(
+    fn run(
         &self,
         env: &WorkerEnv,
-        work: &WireWorkItem,
-        kill: &AtomicBool,
-        send: &mut dyn FnMut(FromWorker) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        let task = TaskId(work.task as usize);
-        let fail = |send: &mut dyn FnMut(FromWorker) -> std::io::Result<()>,
-                    error: WireJobError| {
-            send(FromWorker::Failed {
-                task: work.task,
-                attempt: work.attempt,
-                error,
+        work: &WorkItem,
+        send: &mut SendFrame<'_>,
+    ) -> std::io::Result<(WorkerMsg, SpillReport)> {
+        let input = SpoolSource {
+            env,
+            item: PhantomData,
+        };
+        let mut out = FrameOutput {
+            env,
+            task: work.task.0 as u64,
+            attempt: work.attempt,
+            send,
+            shuffle: None,
+            map_from_us: 0,
+            error: None,
+            pipe: None,
+            report: SpillReport::default(),
+        };
+        let msg = run_map_attempt(&input, self, work, &mut out);
+        match out.pipe {
+            Some(e) => Err(e),
+            None => Ok((msg, out.report)),
+        }
+    }
+}
+
+/// The worker's input: the parent's spool, `mmap`'d. Opening a split
+/// decodes its block and moves the systematic sample out, drawn like
+/// the in-process sources' (`sample_systematic_indices(total, ratio,
+/// seed)`), so every backend maps the identical sample.
+struct SpoolSource<'a, I> {
+    env: &'a WorkerEnv,
+    item: PhantomData<fn() -> I>,
+}
+
+impl<I: Wire + Send + 'static> InputSource for SpoolSource<'_, I> {
+    type Item = I;
+
+    /// One split per spool block. Workers never plan a job; the
+    /// parent's splits carry the dataset tags.
+    fn splits(&self) -> Vec<SplitMeta> {
+        let spool = &self.env.spool;
+        (0..spool.len())
+            .map(|index| SplitMeta {
+                index,
+                records: spool.records(BlockId(index as u64)).unwrap_or(0),
+                ..SplitMeta::default()
+            })
+            .collect()
+    }
+
+    fn read_split(&self, index: usize, ratio: f64, seed: u64) -> crate::Result<SampledItems<I>> {
+        let (spool, tel) = (&self.env.spool, self.env.telemetry.as_ref());
+        let from_us = WorkerTelemetry::now_us(tel);
+        let remote = |display: String| RuntimeError::Remote { display };
+        let id = BlockId(index as u64);
+        let buf = spool
+            .slice(id)
+            .ok_or_else(|| remote(format!("spool has no block for task {index}")))?;
+        let total = spool
+            .records(id)
+            .ok_or_else(|| remote(format!("spool has no record count for task {index}")))?;
+        let mut d = Decoder::new(buf);
+        let mut block = Vec::with_capacity(total as usize);
+        for _ in 0..total {
+            block.push(I::decode(&mut d).map_err(|e| remote(format!("spool block corrupt: {e}")))?);
+        }
+        d.finish()
+            .map_err(|e| remote(format!("spool block has trailing bytes: {e}")))?;
+        let read = sample_systematic_owned(block, ratio, seed);
+        WorkerTelemetry::span(tel, "read block", from_us);
+        if let Some(t) = tel {
+            t.counter("approx_worker_records_total").add(read.sampled);
+        }
+        Ok(read)
+    }
+}
+
+/// A worker attempt's [`MapOutputs`]: the spill-capable shuffle,
+/// drained at ship time into `Output` frames of about [`CHUNK_BYTES`],
+/// one partition at a time, so a huge shuffle never materialises in
+/// the worker.
+struct FrameOutput<'a, K: Key + Wire, V: Value + Wire> {
+    env: &'a WorkerEnv,
+    task: u64,
+    attempt: u32,
+    send: &'a mut SendFrame<'a>,
+    /// Built by `begin`, once the attempt's combiner is known.
+    shuffle: Option<SpillShuffle<'a, K, V>>,
+    map_from_us: u64,
+    /// The first spill failure, reported by `ship`.
+    error: Option<String>,
+    /// Set when a frame could not be written: the parent is gone.
+    pipe: Option<std::io::Error>,
+    report: SpillReport,
+}
+
+impl<'a, K: Key + Wire, V: Value + Wire> MapOutputs<'a, K, V> for FrameOutput<'a, K, V> {
+    fn partitions(&self) -> usize {
+        self.env.spec.num_reducers as usize
+    }
+
+    fn begin(&mut self, combiner: Option<&'a dyn Combiner<K, V>>) {
+        let (env, tel) = (self.env, self.env.telemetry.as_ref());
+        let dir = format!("attempt-{}-{}", self.task, self.attempt);
+        let mut shuffle = SpillShuffle::new(
+            self.partitions(),
+            combiner,
+            env.spec.shuffle_mem_bytes as usize,
+            Path::new(&env.spec.spill_dir).join(dir),
+        );
+        if let Some(t) = tel {
+            shuffle = shuffle.with_counters(
+                t.counter("approx_process_spill_runs_total"),
+                t.counter("approx_process_spill_bytes_total"),
+            );
+        }
+        self.shuffle = Some(shuffle);
+        self.map_from_us = WorkerTelemetry::now_us(tel);
+    }
+
+    fn emit(&mut self, partition: usize, hash: u64, key: K, value: V) {
+        if self.error.is_some() {
+            return;
+        }
+        let shuffle = self.shuffle.as_mut().expect("begin builds the shuffle");
+        if let Err(e) = shuffle.emit(partition, hash, key, value) {
+            self.error = Some(e);
+        }
+    }
+
+    fn ship(&mut self, _meta: MapOutputMeta) -> crate::Result<u64> {
+        let remote = |display: String| RuntimeError::Remote { display };
+        if let Some(what) = self.error.take() {
+            return Err(remote(what));
+        }
+        let tel = self.env.telemetry.as_ref();
+        WorkerTelemetry::span(tel, "map+combine", self.map_from_us);
+        let drain_from_us = WorkerTelemetry::now_us(tel);
+        let (task, attempt) = (self.task, self.attempt);
+        let (send, pipe) = (&mut *self.send, &mut self.pipe);
+        let mut flush = |partition: usize, pairs: Vec<u8>| {
+            let frame = FromWorker::Output {
+                task,
+                attempt,
+                partition: partition as u32,
+                pairs,
+            };
+            send(frame).map_err(|e| {
+                *pipe = Some(e);
+                "pipe closed".to_string()
             })
         };
-        if kill.load(Ordering::SeqCst) {
-            return send(FromWorker::Killed {
-                task: work.task,
-                attempt: work.attempt,
-            });
-        }
-        // A work item tagged with a dataset the job spec never declared
-        // means the parent and worker disagree about the dataset table.
-        // That is a job error, not a worker crash: fail the attempt so
-        // the parent's retry/degrade machinery sees it, instead of
-        // aborting the process mid-job.
-        if !env.admits_dataset(work.dataset) {
-            return fail(
-                send,
-                WireJobError {
-                    kind: 2,
-                    what: format!(
-                        "work item for {task} tagged {} but the job spec's dataset table does not admit it",
-                        DatasetId(work.dataset)
-                    ),
-                },
-            );
-        }
-        // Telemetry setup: stamp the attempt's epoch in the local
-        // tracer's clock and discard spans left over from attempts that
-        // failed before reporting (their kill/fail paths skip the
-        // Telemetry frame), so nothing is misattributed.
-        let attempt_epoch_us = env.telemetry.as_ref().map(|t| {
-            let _ = t.obs.tracer.drain();
-            t.obs
-                .registry
-                .counter("approx_worker_attempts_total", &[("job", &t.label)])
-                .inc();
-            t.obs.tracer.now_us()
-        });
-        let span = |name: &str, from_us: u64| {
-            if let (Some(t), Some(_)) = (&env.telemetry, attempt_epoch_us) {
-                let now = t.obs.tracer.now_us();
-                t.obs.tracer.complete(
-                    name,
-                    "worker",
-                    from_us,
-                    now.saturating_sub(from_us).max(1),
-                    0,
-                    0,
-                    None,
-                    vec![],
-                );
-            }
-        };
-        let tracer_now = || {
-            env.telemetry
-                .as_ref()
-                .map(|t| t.obs.tracer.now_us())
-                .unwrap_or(0)
-        };
-        let decision = work
-            .fault
-            .as_ref()
-            .map(|f| f.decide(work.task as usize, work.attempt))
-            .unwrap_or(FaultDecision::None);
-        if decision == FaultDecision::IoError {
-            return fail(
-                send,
-                WireJobError {
-                    kind: 0,
-                    what: format!("input read of {} (attempt {})", task, work.attempt),
-                },
-            );
-        }
-        let t0 = Instant::now();
-        let read_from_us = tracer_now();
-        let (items, total_records) = match read_block(&env.spool, work) {
-            Ok(r) => r,
-            Err(what) => return fail(send, WireJobError { kind: 2, what }),
-        };
-        span("read block", read_from_us);
-        let read_secs = t0.elapsed().as_secs_f64();
-        let sampled_records = items.len() as u64;
-        if let Some(t) = &env.telemetry {
-            t.obs
-                .registry
-                .counter("approx_worker_records_total", &[("job", &t.label)])
-                .add(sampled_records);
-        }
-        let num_reducers = env.num_reducers;
-        let combiner = if work.combining {
-            self.mapper.combiner()
-        } else {
-            None
-        };
-        let spill_dir = env
-            .spill_dir
-            .join(format!("attempt-{}-{}", work.task, work.attempt));
-        let spill_counters = env.telemetry.as_ref().map(|t| {
-            (
-                t.obs
-                    .registry
-                    .counter("approx_process_spill_runs_total", &[("job", &t.label)]),
-                t.obs
-                    .registry
-                    .counter("approx_process_spill_bytes_total", &[("job", &t.label)]),
-            )
-        });
-        let map_from_us = tracer_now();
-        let partitioner = Partitioner::new(num_reducers);
-        // Same containment as the in-process attempt body: user map code
-        // may panic, and the injected MapPanic fault panics on purpose.
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if decision == FaultDecision::MapPanic {
-                panic!("injected map panic in {task}");
-            }
-            let mut shuffle =
-                SpillShuffle::new(num_reducers, combiner, env.shuffle_mem_bytes, spill_dir);
-            if let Some((runs, bytes)) = &spill_counters {
-                shuffle = shuffle.with_counters(Arc::clone(runs), Arc::clone(bytes));
-            }
-            let mut emitted = 0u64;
-            let mut spill_err: Option<String> = None;
-            let ctx = MapTaskContext {
-                task,
-                dataset: DatasetId(work.dataset),
-                sampling_ratio: work.sampling_ratio,
-                attempt: work.attempt,
-            };
-            let mut state = self.mapper.begin_task(&ctx);
-            let mut killed = false;
-            for item in items {
-                if kill.load(Ordering::Relaxed) {
-                    killed = true;
-                    break;
-                }
-                if spill_err.is_some() {
-                    break;
-                }
-                self.mapper.map(&mut state, item, &mut |k, v| {
-                    emitted += 1;
-                    let h = fx_hash(&k);
-                    let p = partitioner.partition_of_hash(h);
-                    if spill_err.is_none() {
-                        if let Err(e) = shuffle.emit(p, h, k, v) {
-                            spill_err = Some(e);
-                        }
-                    }
-                });
-            }
-            if !killed && spill_err.is_none() {
-                self.mapper.end_task(state, &mut |k, v| {
-                    emitted += 1;
-                    let h = fx_hash(&k);
-                    let p = partitioner.partition_of_hash(h);
-                    if spill_err.is_none() {
-                        if let Err(e) = shuffle.emit(p, h, k, v) {
-                            spill_err = Some(e);
-                        }
-                    }
-                });
-            }
-            (shuffle, emitted, killed, spill_err)
-        }));
-        let (mut shuffle, emitted, killed, spill_err) = match run {
-            Ok(r) => r,
-            Err(_) => {
-                return fail(
-                    send,
-                    WireJobError {
-                        kind: 1,
-                        what: format!("user map code in {task}"),
-                    },
-                );
-            }
-        };
-        if killed {
-            return send(FromWorker::Killed {
-                task: work.task,
-                attempt: work.attempt,
-            });
-        }
-        if let Some(what) = spill_err {
-            return fail(send, WireJobError { kind: 2, what });
-        }
-        span("map+combine", map_from_us);
-        let drain_from_us = tracer_now();
-        // Drain the (possibly spilled) buffer into chunked Output
-        // frames: one partition at a time, flushing ~1 MiB of encoded
-        // pairs per frame so a huge shuffle never materialises in the
-        // worker.
         let mut shuffled = 0u64;
         let mut chunk: Vec<u8> = Vec::new();
         let mut chunk_partition = 0usize;
-        let mut io_err: Option<std::io::Error> = None;
+        let shuffle = self.shuffle.as_mut().expect("begin builds the shuffle");
         let drained = shuffle.drain(|p, k, v| {
             if p != chunk_partition && !chunk.is_empty() {
-                let pairs = std::mem::take(&mut chunk);
-                if let Err(e) = send(FromWorker::Output {
-                    task: work.task,
-                    attempt: work.attempt,
-                    partition: chunk_partition as u32,
-                    pairs,
-                }) {
-                    io_err = Some(e);
-                    return Err("pipe closed".into());
-                }
+                flush(chunk_partition, std::mem::take(&mut chunk))?;
             }
             chunk_partition = p;
             k.encode(&mut chunk);
             v.encode(&mut chunk);
             shuffled += 1;
             if chunk.len() >= CHUNK_BYTES {
-                let pairs = std::mem::take(&mut chunk);
-                if let Err(e) = send(FromWorker::Output {
-                    task: work.task,
-                    attempt: work.attempt,
-                    partition: p as u32,
-                    pairs,
-                }) {
-                    io_err = Some(e);
-                    return Err("pipe closed".into());
-                }
+                flush(p, std::mem::take(&mut chunk))?;
             }
             Ok(())
         });
-        if let Some(e) = io_err {
-            return Err(e);
-        }
-        let report = match drained {
-            Ok(r) => r,
-            Err(what) => return fail(send, WireJobError { kind: 2, what }),
-        };
+        self.report = drained.map_err(remote)?;
         if !chunk.is_empty() {
-            send(FromWorker::Output {
-                task: work.task,
-                attempt: work.attempt,
-                partition: chunk_partition as u32,
-                pairs: chunk,
-            })?;
+            flush(chunk_partition, chunk).map_err(remote)?;
         }
-        span("drain shuffle", drain_from_us);
-        // Telemetry rides between the last Output chunk and the Done
-        // frame; span timestamps are re-based to the attempt epoch so
-        // the parent can graft them into the task-attempt span's window
-        // regardless of clock skew.
-        if let Some(tel) = &env.telemetry {
-            let epoch = attempt_epoch_us.unwrap_or(0);
-            let counters = tel
-                .obs
-                .registry
-                .counter_deltas(&mut tel.cursor.lock().expect("cursor poisoned"))
-                .into_iter()
-                .map(|d| (d.name, d.labels, d.delta))
-                .collect();
-            let spans = tel
-                .obs
-                .tracer
-                .drain()
-                .into_iter()
-                .filter(|e| e.phase == 'X')
-                .map(|e| (e.name, e.category, e.ts_us.saturating_sub(epoch), e.dur_us))
-                .collect();
-            send(FromWorker::Telemetry {
-                task: work.task,
-                attempt: work.attempt,
-                counters,
-                spans,
-            })?;
-        }
-        send(FromWorker::Done {
-            attempt: work.attempt,
-            stats: WireMapStats {
-                task: work.task,
-                dataset: work.dataset,
-                total_records,
-                sampled_records,
-                emitted,
-                shuffled,
-                duration_secs: t0.elapsed().as_secs_f64(),
-                read_secs,
-            },
-            spill_runs: report.runs,
-            spill_bytes: report.bytes,
-        })
+        WorkerTelemetry::span(tel, "drain shuffle", drain_from_us);
+        Ok(shuffled)
     }
 }
 
-/// Decodes the attempt's block from the spool and applies systematic
-/// sampling with the same `(total, ratio, seed)` draw as the in-process
-/// input sources, so every backend processes the identical sample.
-fn read_block<I: Wire + Clone>(
-    spool: &FileStore,
-    work: &WireWorkItem,
-) -> Result<(Vec<I>, u64), String> {
-    let id = BlockId(work.task);
-    let buf = spool
-        .slice(id)
-        .ok_or_else(|| format!("spool has no block for task {}", work.task))?;
-    let total = spool
-        .records(id)
-        .ok_or_else(|| format!("spool has no record count for task {}", work.task))?;
-    let mut d = Decoder::new(buf);
-    let mut items = Vec::with_capacity(total as usize);
-    for _ in 0..total {
-        items.push(I::decode(&mut d).map_err(|e| format!("spool block corrupt: {e}"))?);
+/// Serves one `Work` frame: admits its dataset tag, runs the attempt
+/// and reports the outcome as `Failed`, `Killed`, or `Telemetry` +
+/// `Done` frames. Fails only when a frame cannot be written.
+fn serve(
+    job: &dyn RunnableJob,
+    env: &WorkerEnv,
+    work: WireWorkItem,
+    kill: Arc<AtomicBool>,
+    send: &mut SendFrame<'_>,
+) -> std::io::Result<()> {
+    let (task, attempt) = (work.task, work.attempt);
+    let fail = |send: &mut SendFrame<'_>, error| {
+        send(FromWorker::Failed {
+            task,
+            attempt,
+            error,
+        })
+    };
+    // A work item tagged with a dataset the job spec never declared
+    // means the parent and worker disagree about the dataset table.
+    // That is a job error, not a worker crash: fail the attempt so the
+    // parent's retry/degrade machinery sees it, instead of aborting the
+    // process mid-job.
+    if !env.spec.admits_dataset(work.dataset) {
+        let what = format!(
+            "work item for {} tagged {} but the job spec's dataset table does not admit it",
+            TaskId(task as usize),
+            DatasetId(work.dataset)
+        );
+        return fail(send, WireJobError { kind: 2, what });
     }
-    d.finish()
-        .map_err(|e| format!("spool block has trailing bytes: {e}"))?;
-    match sample_systematic_indices(total as usize, work.sampling_ratio, work.seed) {
-        None => Ok((items, total)),
-        Some(idx) => {
-            let sampled = idx
-                .into_iter()
-                .map(|i| {
-                    items
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| format!("sample index {i} out of range"))
-                })
-                .collect::<Result<Vec<I>, String>>()?;
-            Ok((sampled, total))
+    // Telemetry setup: stamp the attempt's epoch in the local tracer's
+    // clock and discard spans left over from attempts that failed
+    // before reporting (their kill/fail paths skip the Telemetry
+    // frame), so nothing is misattributed.
+    if let Some(t) = &env.telemetry {
+        let _ = t.obs.tracer.drain();
+        t.counter("approx_worker_attempts_total").inc();
+    }
+    let epoch = WorkerTelemetry::now_us(env.telemetry.as_ref());
+    let work = WorkItem {
+        task: TaskId(task as usize),
+        dataset: DatasetId(work.dataset),
+        attempt,
+        sampling_ratio: work.sampling_ratio,
+        seed: work.seed,
+        kill,
+        fault: work.fault.map(Arc::new),
+        combining: work.combining,
+        span: work.span,
+    };
+    let (msg, report) = job.run(env, &work, send)?;
+    match msg {
+        WorkerMsg::Completed { stats, .. } => {
+            // Telemetry rides between the last Output chunk and the Done
+            // frame; span timestamps are re-based to the attempt epoch
+            // so the parent can graft them into the task-attempt span's
+            // window regardless of clock skew.
+            if let Some(tel) = &env.telemetry {
+                let counters = tel
+                    .obs
+                    .registry
+                    .counter_deltas(&mut tel.cursor.lock().expect("cursor poisoned"))
+                    .into_iter()
+                    .map(|d| (d.name, d.labels, d.delta))
+                    .collect();
+                let spans = tel
+                    .obs
+                    .tracer
+                    .drain()
+                    .into_iter()
+                    .filter(|e| e.phase == 'X')
+                    .map(|e| (e.name, e.category, e.ts_us.saturating_sub(epoch), e.dur_us))
+                    .collect();
+                send(FromWorker::Telemetry {
+                    task,
+                    attempt,
+                    counters,
+                    spans,
+                })?;
+            }
+            send(FromWorker::Done {
+                attempt,
+                stats,
+                spill_runs: report.runs,
+                spill_bytes: report.bytes,
+            })
         }
+        WorkerMsg::Killed { .. } => send(FromWorker::Killed { task, attempt }),
+        WorkerMsg::Failed { error, .. } => fail(send, WireJobError::from_error(&error)),
     }
 }
 
@@ -559,21 +501,15 @@ where
             return 1;
         }
     };
+    let telemetry = (!spec.telemetry_label.is_empty()).then(|| WorkerTelemetry {
+        obs: worker_obs(),
+        cursor: Mutex::new(DeltaCursor::new()),
+        label: spec.telemetry_label.clone(),
+    });
     let env = WorkerEnv {
+        spec,
         spool,
-        num_reducers: spec.num_reducers as usize,
-        shuffle_mem_bytes: spec.shuffle_mem_bytes as usize,
-        spill_dir: PathBuf::from(&spec.spill_dir),
-        datasets: spec.datasets.clone(),
-        telemetry: if spec.telemetry_label.is_empty() {
-            None
-        } else {
-            Some(WorkerTelemetry {
-                obs: worker_obs(),
-                cursor: Mutex::new(DeltaCursor::new()),
-                label: spec.telemetry_label.clone(),
-            })
-        },
+        telemetry,
     };
 
     let writer = Arc::new(Mutex::new(writer));
@@ -632,7 +568,7 @@ where
 
     for (work, kill) in work_rx {
         let key = (work.task, work.attempt);
-        let result = job.run_attempt(&env, &work, &kill, &mut |fw| send_frame(&fw));
+        let result = serve(&*job, &env, work, kill, &mut |fw| send_frame(&fw));
         kills.lock().expect("kills poisoned").remove(&key);
         if result.is_err() {
             // The parent end of the pipe is gone; nothing left to serve.
@@ -644,8 +580,139 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::io::Cursor;
+    use std::time::{Duration, Instant};
+
+    use approxhadoop_dfs::FileStoreWriter;
+
     use super::*;
     use crate::mapper::FnMapper;
+
+    /// Serves `bytes`, then blocks for good, like a parent that keeps
+    /// its end open: at pipe EOF a worker exits the whole process.
+    struct OpenPipe(Cursor<Vec<u8>>);
+
+    impl Read for OpenPipe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.read(buf)?;
+            if n == 0 && !buf.is_empty() {
+                loop {
+                    std::thread::park();
+                }
+            }
+            Ok(n)
+        }
+    }
+
+    /// Everything the worker writes, shared with the test.
+    #[derive(Clone, Default)]
+    struct Captured(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Captured {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn undeclared_dataset_fails_the_attempt_and_the_worker_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!(
+            "approxhadoop-worker-loop-test-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spool = dir.join("input.spool");
+        let mut w = FileStoreWriter::create(&spool).unwrap();
+        let mut payload = Vec::new();
+        for v in 0..10u32 {
+            v.encode(&mut payload);
+        }
+        w.append(BlockId(0), 10, &payload).unwrap();
+        w.finish().unwrap();
+
+        let mut registry = JobRegistry::new();
+        registry.register("parity", |_p: &[u8]| {
+            Ok(FnMapper::new(|v: &u32, emit: &mut dyn FnMut(u8, u64)| {
+                emit((*v % 2) as u8, 1)
+            }))
+        });
+        let spec = WorkerJobSpec {
+            job: "parity".into(),
+            params: Vec::new(),
+            spool: spool.to_string_lossy().into_owned(),
+            num_reducers: 2,
+            shuffle_mem_bytes: 1 << 20,
+            spill_dir: dir.join("spill").to_string_lossy().into_owned(),
+            telemetry_label: String::new(),
+            // Single-input job: only dataset 0 is admitted.
+            datasets: Vec::new(),
+        };
+        let work = |dataset| {
+            ToWorker::Work(WireWorkItem {
+                task: 0,
+                dataset,
+                attempt: 0,
+                sampling_ratio: 1.0,
+                seed: 0,
+                combining: false,
+                fault: None,
+                span: 0,
+            })
+        };
+        let mut input = Vec::new();
+        for frame in [ToWorker::Job(spec), work(3), work(0)] {
+            write_frame(&mut input, &frame.to_bytes()).unwrap();
+        }
+        let out = Captured::default();
+        let sink = out.clone();
+        std::thread::spawn(move || worker_loop(registry, OpenPipe(Cursor::new(input)), sink));
+
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let frames = loop {
+            let bytes = out.0.lock().unwrap().clone();
+            let mut r = &bytes[..];
+            let mut frames = Vec::new();
+            while let Ok(Some(f)) = read_frame(&mut r) {
+                frames.push(FromWorker::from_bytes(&f).unwrap());
+            }
+            if matches!(frames.last(), Some(FromWorker::Done { .. })) {
+                break frames;
+            }
+            assert!(Instant::now() < deadline, "no Done frame: {frames:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(frames[0], FromWorker::Ready);
+        match &frames[1] {
+            FromWorker::Failed {
+                task: 0,
+                attempt: 0,
+                error,
+            } => assert_eq!(error.kind, 2, "{error:?}"),
+            other => panic!("expected a Failed frame, got {other:?}"),
+        }
+        let outputs = &frames[2..frames.len() - 1];
+        assert!(
+            !outputs.is_empty()
+                && outputs
+                    .iter()
+                    .all(|f| matches!(f, FromWorker::Output { task: 0, .. })),
+            "the valid attempt streams its pairs: {outputs:?}"
+        );
+        let Some(FromWorker::Done { stats, .. }) = frames.last() else {
+            unreachable!()
+        };
+        assert_eq!(
+            (stats.total_records, stats.sampled_records, stats.shuffled),
+            (10, 10, 10)
+        );
+    }
 
     #[test]
     fn registry_builds_registered_jobs_only() {

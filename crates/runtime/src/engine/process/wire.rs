@@ -16,6 +16,7 @@
 use approxhadoop_ipc::{Decoder, Wire, WireError};
 
 use crate::fault::FaultPlan;
+use crate::input::DatasetId;
 use crate::metrics::MapStats;
 use crate::types::TaskId;
 use crate::RuntimeError;
@@ -40,6 +41,32 @@ impl Wire for FaultPlan {
             replica_error_prob: Wire::decode(d)?,
             slow_replica_prob: Wire::decode(d)?,
             slow_replica_delay: Wire::decode(d)?,
+        })
+    }
+}
+
+impl Wire for MapStats {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.task.0 as u64).encode(out);
+        self.dataset.0.encode(out);
+        self.total_records.encode(out);
+        self.sampled_records.encode(out);
+        self.emitted.encode(out);
+        self.shuffled.encode(out);
+        self.duration_secs.encode(out);
+        self.read_secs.encode(out);
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(MapStats {
+            task: TaskId(u64::decode(d)? as usize),
+            dataset: DatasetId(Wire::decode(d)?),
+            total_records: Wire::decode(d)?,
+            sampled_records: Wire::decode(d)?,
+            emitted: Wire::decode(d)?,
+            shuffled: Wire::decode(d)?,
+            duration_secs: Wire::decode(d)?,
+            read_secs: Wire::decode(d)?,
         })
     }
 }
@@ -218,68 +245,6 @@ impl Wire for ToWorker {
     }
 }
 
-/// [`MapStats`] in wire form.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireMapStats {
-    /// Map task index.
-    pub task: u64,
-    /// Dataset tag of the task's split.
-    pub dataset: u32,
-    /// `M_i` — total records in the task's block.
-    pub total_records: u64,
-    /// `m_i` — records processed after sampling.
-    pub sampled_records: u64,
-    /// Pairs emitted by the map function (pre-combining).
-    pub emitted: u64,
-    /// Pairs shipped to reducers (post-combining).
-    pub shuffled: u64,
-    /// Wall-clock duration of the attempt in seconds.
-    pub duration_secs: f64,
-    /// Portion spent reading the block in seconds.
-    pub read_secs: f64,
-}
-
-impl From<WireMapStats> for MapStats {
-    fn from(w: WireMapStats) -> Self {
-        MapStats {
-            task: TaskId(w.task as usize),
-            dataset: crate::input::DatasetId(w.dataset),
-            total_records: w.total_records,
-            sampled_records: w.sampled_records,
-            emitted: w.emitted,
-            shuffled: w.shuffled,
-            duration_secs: w.duration_secs,
-            read_secs: w.read_secs,
-        }
-    }
-}
-
-impl Wire for WireMapStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.task.encode(out);
-        self.dataset.encode(out);
-        self.total_records.encode(out);
-        self.sampled_records.encode(out);
-        self.emitted.encode(out);
-        self.shuffled.encode(out);
-        self.duration_secs.encode(out);
-        self.read_secs.encode(out);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(WireMapStats {
-            task: Wire::decode(d)?,
-            dataset: Wire::decode(d)?,
-            total_records: Wire::decode(d)?,
-            sampled_records: Wire::decode(d)?,
-            emitted: Wire::decode(d)?,
-            shuffled: Wire::decode(d)?,
-            duration_secs: Wire::decode(d)?,
-            read_secs: Wire::decode(d)?,
-        })
-    }
-}
-
 /// A [`RuntimeError`] crossing the process boundary.
 ///
 /// The two failure shapes the scheduler's event stream renders —
@@ -379,7 +344,7 @@ pub enum FromWorker {
         /// Attempt number that completed.
         attempt: u32,
         /// Execution statistics.
-        stats: WireMapStats,
+        stats: MapStats,
         /// Spill runs written while buffering this attempt's output.
         spill_runs: u64,
         /// Total bytes of spill runs written.
@@ -541,6 +506,26 @@ mod tests {
         };
         let back = WireWorkItem::from_bytes(&ToWorker::Work(w.clone()).to_bytes()[1..]).unwrap();
         assert_eq!(back, w);
+    }
+
+    #[test]
+    fn done_frame_carries_map_stats_bit_for_bit() {
+        let done = FromWorker::Done {
+            attempt: 2,
+            stats: MapStats {
+                task: TaskId(17),
+                dataset: DatasetId(1),
+                total_records: 1000,
+                sampled_records: 100,
+                emitted: 250,
+                shuffled: 40,
+                duration_secs: 0.1 + 0.2,
+                read_secs: f64::MIN_POSITIVE,
+            },
+            spill_runs: 3,
+            spill_bytes: 4096,
+        };
+        assert_eq!(FromWorker::from_bytes(&done.to_bytes()).unwrap(), done);
     }
 
     #[test]

@@ -10,12 +10,15 @@ use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::combine::CombineTable;
+use crate::combine::{route_emission, CombineTable, Combiner};
 use crate::control::JobControl;
 use crate::reducer::{DedupState, MapOutputMeta, ReduceContext, ReduceEvent, Reducer};
 use crate::types::{Key, TaskId, Value};
 
-/// Arena-reused per-reducer output buffers for map attempts.
+use super::attempt::MapOutputs;
+
+/// An in-process attempt's [`MapOutputs`]: arena-reused per-reducer
+/// buffers, shipped as one pre-partitioned batch per reducer channel.
 ///
 /// A task-tracker thread keeps one `MapBuffers` alive across every
 /// attempt it runs, so the hot path stops paying per-attempt allocation:
@@ -23,35 +26,43 @@ use crate::types::{Key, TaskId, Value};
 /// and raw pair vectors (whose backing store is moved out when a batch
 /// ships) are pre-sized to the per-partition high-water mark of earlier
 /// attempts on the same worker.
-pub(crate) struct MapBuffers<K: Key, V: Value> {
+pub(crate) struct MapBuffers<'c, K: Key, V: Value> {
+    /// One channel per reduce partition.
+    txs: Vec<Sender<ReduceEvent<K, V>>>,
+    /// The current attempt's combiner, if it combines.
+    combiner: Option<&'c dyn Combiner<K, V>>,
     /// Raw path: one pair vector per reduce partition.
-    pub(crate) raw: Vec<Vec<(K, V)>>,
+    raw: Vec<Vec<(K, V)>>,
     /// Combining path: one hash-fold table per reduce partition.
-    pub(crate) combined: Vec<CombineTable<K, V>>,
+    combined: Vec<CombineTable<K, V>>,
     /// Largest raw batch shipped per partition so far.
     raw_hwm: Vec<usize>,
 }
 
-impl<K: Key, V: Value> MapBuffers<K, V> {
-    /// Empty buffers; [`MapBuffers::reset`] sizes them per attempt.
-    pub(crate) fn new() -> Self {
+impl<K: Key, V: Value> MapBuffers<'_, K, V> {
+    /// Empty buffers shipping to `txs`, one sender per reduce partition.
+    pub(crate) fn new(txs: Vec<Sender<ReduceEvent<K, V>>>) -> Self {
+        let reducers = txs.len();
         MapBuffers {
-            raw: Vec::new(),
-            combined: Vec::new(),
-            raw_hwm: Vec::new(),
+            txs,
+            combiner: None,
+            raw: (0..reducers).map(|_| Vec::new()).collect(),
+            combined: (0..reducers).map(|_| CombineTable::new()).collect(),
+            raw_hwm: vec![0; reducers],
         }
     }
+}
 
-    /// Prepares the buffers for one attempt over `reducers` partitions:
-    /// discards leftovers from a killed or panicked predecessor (keeping
+impl<'c, K: Key, V: Value> MapOutputs<'c, K, V> for MapBuffers<'c, K, V> {
+    fn partitions(&self) -> usize {
+        self.txs.len()
+    }
+
+    /// Discards leftovers from a killed or panicked predecessor (keeping
     /// allocations), and pre-sizes fresh raw vectors to the high-water
     /// mark so steady-state attempts never grow them incrementally.
-    pub(crate) fn reset(&mut self, reducers: usize) {
-        if self.raw.len() != reducers {
-            self.raw = (0..reducers).map(|_| Vec::new()).collect();
-            self.combined = (0..reducers).map(|_| CombineTable::new()).collect();
-            self.raw_hwm = vec![0; reducers];
-        }
+    fn begin(&mut self, combiner: Option<&'c dyn Combiner<K, V>>) {
+        self.combiner = combiner;
         for (v, &hwm) in self.raw.iter_mut().zip(&self.raw_hwm) {
             v.clear();
             if v.capacity() == 0 && hwm > 0 {
@@ -61,6 +72,30 @@ impl<K: Key, V: Value> MapBuffers<K, V> {
         for table in &mut self.combined {
             table.clear();
         }
+    }
+
+    fn emit(&mut self, partition: usize, hash: u64, key: K, value: V) {
+        let (raw, combined) = (&mut self.raw, &mut self.combined);
+        route_emission(self.combiner, raw, combined, partition, hash, key, value);
+    }
+
+    /// Each reducer receives exactly one pre-partitioned batch
+    /// (pre-combined and in key order when a combiner ran — the hash
+    /// tables are sorted here, once per batch, so shipped bytes stay
+    /// identical to the old ordered-insert path).
+    fn ship(&mut self, meta: MapOutputMeta) -> crate::Result<u64> {
+        let mut shuffled = 0u64;
+        for (p, tx) in self.txs.iter().enumerate() {
+            let pairs: Vec<(K, V)> = if self.combiner.is_some() {
+                self.combined[p].drain_sorted()
+            } else {
+                self.raw_hwm[p] = self.raw_hwm[p].max(self.raw[p].len());
+                std::mem::take(&mut self.raw[p])
+            };
+            shuffled += pairs.len() as u64;
+            let _ = tx.send(ReduceEvent::MapOutput { meta, pairs });
+        }
+        Ok(shuffled)
     }
 }
 
@@ -89,31 +124,6 @@ pub(crate) fn broadcast_drop<K: Key, V: Value>(txs: &[Sender<ReduceEvent<K, V>>]
     for tx in txs {
         let _ = tx.send(ReduceEvent::MapDropped { task: TaskId(task) });
     }
-}
-
-/// Ships one map attempt's outputs: each reducer receives exactly one
-/// pre-partitioned batch (pre-combined and in key order when a combiner
-/// ran — the hash tables are sorted here, once per batch, so shipped
-/// bytes stay identical to the old ordered-insert path). Returns the
-/// number of pairs shuffled.
-pub(crate) fn ship_outputs<K: Key, V: Value>(
-    reducer_txs: &[Sender<ReduceEvent<K, V>>],
-    meta: MapOutputMeta,
-    combined_path: bool,
-    bufs: &mut MapBuffers<K, V>,
-) -> u64 {
-    let mut shuffled = 0u64;
-    for (p, tx) in reducer_txs.iter().enumerate() {
-        let pairs: Vec<(K, V)> = if combined_path {
-            bufs.combined[p].drain_sorted()
-        } else {
-            bufs.raw_hwm[p] = bufs.raw_hwm[p].max(bufs.raw[p].len());
-            std::mem::take(&mut bufs.raw[p])
-        };
-        shuffled += pairs.len() as u64;
-        let _ = tx.send(ReduceEvent::MapOutput { meta, pairs });
-    }
-    shuffled
 }
 
 /// The reduce-task body: drains shuffle events until every sender is
@@ -152,29 +162,34 @@ mod tests {
     use super::*;
     use crate::reducer::GroupedReducer;
 
-    #[test]
-    fn ship_outputs_takes_raw_or_combined_path() {
-        let (txs, rxs) = reducer_channels::<u32, u64>(2);
-        let meta = MapOutputMeta {
+    fn meta(records: u64) -> MapOutputMeta {
+        MapOutputMeta {
             task: TaskId(0),
             dataset: Default::default(),
-            total_records: 3,
-            sampled_records: 3,
+            total_records: records,
+            sampled_records: records,
             duration_secs: 0.0,
-        };
-        let mut bufs: MapBuffers<u32, u64> = MapBuffers::new();
-        bufs.reset(2);
-        bufs.raw[0] = vec![(1u32, 1u64), (1, 1)];
-        bufs.raw[1] = vec![(2, 1)];
+        }
+    }
+
+    #[test]
+    fn ship_takes_raw_or_combined_path() {
+        let (txs, rxs) = reducer_channels::<u32, u64>(2);
         let c = crate::combine::SumCombiner;
-        bufs.combined[0].fold(&c, crate::types::fx_hash(&1u32), 1u32, 2u64);
+        let mut bufs = MapBuffers::new(txs);
+        bufs.begin(None);
+        for (p, k) in [(0, 1u32), (0, 1), (1, 2)] {
+            bufs.emit(p, crate::types::fx_hash(&k), k, 1u64);
+        }
         // Raw path ships every pair.
-        let shuffled = ship_outputs(&txs, meta, false, &mut bufs);
-        assert_eq!(shuffled, 3);
-        // Combined path ships the folded table (raw was already drained).
-        let shuffled = ship_outputs(&txs, meta, true, &mut bufs);
-        assert_eq!(shuffled, 1);
-        drop(txs);
+        assert_eq!(bufs.ship(meta(3)).unwrap(), 3);
+        // Combined path ships the folded table.
+        bufs.begin(Some(&c));
+        for _ in 0..2 {
+            bufs.emit(0, crate::types::fx_hash(&1u32), 1, 1);
+        }
+        assert_eq!(bufs.ship(meta(2)).unwrap(), 1);
+        drop(bufs);
         let batches: Vec<_> = rxs[0].iter().collect();
         assert_eq!(batches.len(), 2);
     }
@@ -182,21 +197,14 @@ mod tests {
     #[test]
     fn combined_batches_ship_in_key_order() {
         let (txs, rxs) = reducer_channels::<String, u64>(1);
-        let meta = MapOutputMeta {
-            task: TaskId(0),
-            dataset: Default::default(),
-            total_records: 4,
-            sampled_records: 4,
-            duration_secs: 0.0,
-        };
-        let mut bufs: MapBuffers<String, u64> = MapBuffers::new();
-        bufs.reset(1);
         let c = crate::combine::SumCombiner;
+        let mut bufs = MapBuffers::new(txs);
+        bufs.begin(Some(&c));
         for w in ["pear", "apple", "quince", "apple"] {
-            bufs.combined[0].fold(&c, crate::types::fx_hash(w), w.to_string(), 1u64);
+            bufs.emit(0, crate::types::fx_hash(w), w.to_string(), 1u64);
         }
-        ship_outputs(&txs, meta, true, &mut bufs);
-        drop(txs);
+        bufs.ship(meta(4)).unwrap();
+        drop(bufs);
         let batch = match rxs[0].iter().next().unwrap() {
             ReduceEvent::MapOutput { pairs, .. } => pairs,
             _ => panic!("expected a MapOutput event"),
@@ -213,27 +221,20 @@ mod tests {
     }
 
     #[test]
-    fn map_buffers_reset_presizes_from_high_water_mark() {
+    fn map_buffers_begin_presizes_from_high_water_mark() {
         let (txs, _rxs) = reducer_channels::<u32, u64>(1);
-        let meta = MapOutputMeta {
-            task: TaskId(0),
-            dataset: Default::default(),
-            total_records: 64,
-            sampled_records: 64,
-            duration_secs: 0.0,
-        };
-        let mut bufs: MapBuffers<u32, u64> = MapBuffers::new();
-        bufs.reset(1);
+        let mut bufs = MapBuffers::new(txs);
+        bufs.begin(None);
         bufs.raw[0].extend((0..64u32).map(|i| (i, 1u64)));
-        ship_outputs(&txs, meta, false, &mut bufs);
+        bufs.ship(meta(64)).unwrap();
         assert!(bufs.raw[0].capacity() == 0, "shipping moves the vector out");
-        bufs.reset(1);
+        bufs.begin(None);
         assert!(
             bufs.raw[0].capacity() >= 64,
             "next attempt starts at the high-water mark, got {}",
             bufs.raw[0].capacity()
         );
-        // Leftovers from an aborted attempt are discarded on reset.
+        // Leftovers from an aborted attempt are discarded on begin.
         bufs.raw[0].push((9, 9));
         bufs.combined[0].fold(
             &crate::combine::SumCombiner,
@@ -241,20 +242,14 @@ mod tests {
             1u32,
             1u64,
         );
-        bufs.reset(1);
+        bufs.begin(None);
         assert!(bufs.raw[0].is_empty() && bufs.combined[0].is_empty());
     }
 
     #[test]
     fn drain_dedups_sibling_outputs_and_drops() {
         let (txs, mut rxs) = reducer_channels::<u32, u64>(1);
-        let meta = MapOutputMeta {
-            task: TaskId(0),
-            dataset: Default::default(),
-            total_records: 1,
-            sampled_records: 1,
-            duration_secs: 0.0,
-        };
+        let meta = meta(1);
         // Two sibling attempts deliver the same task; one other task drops
         // (twice — e.g. a killed sibling racing the drop broadcast).
         for _ in 0..2 {

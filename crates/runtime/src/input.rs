@@ -41,7 +41,7 @@ impl Wire for DatasetId {
 }
 
 /// Metadata describing one input split (block).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SplitMeta {
     /// Split index (= map task id).
     pub index: usize,
@@ -185,6 +185,29 @@ pub fn sample_systematic<I: Clone>(items: &[I], ratio: f64, seed: u64) -> Vec<I>
     match sample_systematic_indices(items.len(), ratio, seed) {
         None => items.to_vec(),
         Some(idx) => idx.into_iter().map(|i| items[i].clone()).collect(),
+    }
+}
+
+/// [`sample_systematic`] for an owned block: moves the sampled records
+/// out instead of cloning them.
+pub(crate) fn sample_systematic_owned<I>(block: Vec<I>, ratio: f64, seed: u64) -> SampledItems<I> {
+    let total = block.len() as u64;
+    let items: Vec<I> = match sample_systematic_indices(block.len(), ratio, seed) {
+        None => block,
+        // The indices ascend, so one pass moves the sample out.
+        Some(idx) => {
+            let mut keep = idx.into_iter().peekable();
+            block
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, item)| keep.next_if_eq(&i).map(|_| item))
+                .collect()
+        }
+    };
+    SampledItems {
+        total,
+        sampled: items.len() as u64,
+        items,
     }
 }
 
@@ -369,7 +392,7 @@ where
 
 impl<I, F> InputSource for FnSource<I, F>
 where
-    I: Clone + Send + Sync + 'static,
+    I: Send + 'static,
     F: Fn(usize) -> Vec<I> + Send + Sync,
 {
     type Item = I;
@@ -378,44 +401,9 @@ where
         self.metas.clone()
     }
 
-    fn read_split(&self, index: usize, sampling_ratio: f64, seed: u64) -> Result<SampledItems<I>> {
+    fn read_split(&self, index: usize, ratio: f64, seed: u64) -> Result<SampledItems<I>> {
         let block = (self.generator)(index);
-        let items = sample_systematic(&block, sampling_ratio, seed);
-        Ok(SampledItems {
-            total: block.len() as u64,
-            sampled: items.len() as u64,
-            items,
-        })
-    }
-
-    fn stream_split(
-        &self,
-        index: usize,
-        sampling_ratio: f64,
-        seed: u64,
-    ) -> Result<SplitStream<'_, I>> {
-        let block = (self.generator)(index);
-        let total = block.len() as u64;
-        Ok(
-            match sample_systematic_indices(block.len(), sampling_ratio, seed) {
-                // Precise read: move records out of the generated block
-                // instead of sampling-by-clone.
-                None => SplitStream::new(total, total, block.into_iter()),
-                Some(idx) => {
-                    let sampled = idx.len() as u64;
-                    let mut keep = idx.into_iter().peekable();
-                    let iter = block.into_iter().enumerate().filter_map(move |(i, item)| {
-                        if keep.peek() == Some(&i) {
-                            keep.next();
-                            Some(item)
-                        } else {
-                            None
-                        }
-                    });
-                    SplitStream::new(total, sampled, iter)
-                }
-            },
-        )
+        Ok(sample_systematic_owned(block, ratio, seed))
     }
 }
 

@@ -24,7 +24,11 @@ pub struct MapStats {
     /// Intermediate pairs actually shipped to reducers (post-combining;
     /// equals `emitted` when no combiner is active).
     pub shuffled: u64,
-    /// Wall-clock duration of the attempt in seconds.
+    /// Wall-clock duration of the attempt in seconds, from opening the
+    /// split until its outputs are handed off (shipped to the reducer
+    /// channels, or drained into `Output` frames by a worker process) —
+    /// the same span on every backend, and the whole map task that the
+    /// Eq. 5 time model charges.
     pub duration_secs: f64,
     /// Portion spent reading/parsing the block in seconds.
     pub read_secs: f64,

@@ -28,7 +28,8 @@ pub struct MapOutputMeta {
     pub total_records: u64,
     /// `m_i` — records the map actually processed.
     pub sampled_records: u64,
-    /// Map attempt duration in seconds.
+    /// Map attempt duration in seconds up to this batch's hand-off (see
+    /// [`MapStats::duration_secs`](crate::metrics::MapStats::duration_secs)).
     pub duration_secs: f64,
 }
 

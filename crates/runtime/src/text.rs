@@ -4,9 +4,7 @@
 
 use approxhadoop_dfs::{DfsCluster, FileHandle};
 
-use crate::input::{
-    sample_systematic, sample_systematic_indices, InputSource, SampledItems, SplitMeta, SplitStream,
-};
+use crate::input::{sample_systematic_owned, InputSource, SampledItems, SplitMeta};
 use crate::Result;
 
 /// Reads a DFS text file, producing one record per line; each DFS block
@@ -54,50 +52,11 @@ impl InputSource for TextSource {
             .collect()
     }
 
-    fn read_split(
-        &self,
-        index: usize,
-        sampling_ratio: f64,
-        seed: u64,
-    ) -> Result<SampledItems<String>> {
-        let meta = &self.handle.blocks[index];
-        let lines = self.dfs.read_block_lines(meta.id)?;
-        let items = sample_systematic(&lines, sampling_ratio, seed);
-        Ok(SampledItems {
-            total: lines.len() as u64,
-            sampled: items.len() as u64,
-            items,
-        })
-    }
-
-    fn stream_split(
-        &self,
-        index: usize,
-        sampling_ratio: f64,
-        seed: u64,
-    ) -> Result<SplitStream<'_, String>> {
-        let meta = &self.handle.blocks[index];
-        let lines = self.dfs.read_block_lines(meta.id)?;
-        let total = lines.len() as u64;
-        Ok(
-            match sample_systematic_indices(lines.len(), sampling_ratio, seed) {
-                // Precise read: move the lines out instead of cloning them.
-                None => SplitStream::new(total, total, lines.into_iter()),
-                Some(idx) => {
-                    let sampled = idx.len() as u64;
-                    let mut keep = idx.into_iter().peekable();
-                    let iter = lines.into_iter().enumerate().filter_map(move |(i, line)| {
-                        if keep.peek() == Some(&i) {
-                            keep.next();
-                            Some(line)
-                        } else {
-                            None
-                        }
-                    });
-                    SplitStream::new(total, sampled, iter)
-                }
-            },
-        )
+    /// Precise reads move the lines out; sampled reads move out only
+    /// the sample — no line is cloned.
+    fn read_split(&self, index: usize, ratio: f64, seed: u64) -> Result<SampledItems<String>> {
+        let lines = self.dfs.read_block_lines(self.handle.blocks[index].id)?;
+        Ok(sample_systematic_owned(lines, ratio, seed))
     }
 }
 

@@ -55,6 +55,7 @@ fn config(seed: u64) -> JobConfig {
         fault_plan: Some(FaultPlan {
             seed,
             map_io_error_prob: 0.15,
+            map_panic_prob: 0.05,
             ..Default::default()
         }),
         fault_policy: FaultPolicy {
